@@ -24,13 +24,14 @@ import (
 	"strings"
 
 	"memagg"
+	"memagg/internal/agg"
 )
 
 func main() {
 	var (
 		file    = flag.String("file", "", "input CSV: one key[,value] per line (required; '-' for stdin)")
-		query   = flag.String("query", "q1", "q1..q7, sum, min, max, mode, quantile")
-		qv      = flag.Float64("q", 0.5, "quantile for -query quantile (0..1)")
+		query   = flag.String("query", "q1", "q1..q7 (or their /v1/query aliases), sum, min, max, mode, quantile")
+		qv      = flag.Float64("q", 0.5, "quantile for -query quantile, in [0, 1]")
 		backend = flag.String("backend", "Hash_LP", "algorithm (see -backends)")
 		lo      = flag.Uint64("lo", 0, "q7 lower key bound (inclusive)")
 		hi      = flag.Uint64("hi", 0, "q7 upper key bound (inclusive)")
@@ -58,8 +59,12 @@ func main() {
 		fatalf("-file is required (use '-' for stdin)")
 	}
 
+	q, err := agg.ParseQuery(strings.ToLower(*query), *qv, *lo, *hi)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if *strMode {
-		runStringMode(*file, *query, *backend, *prefix, *limit)
+		runStringMode(*file, q, *backend, *prefix, *limit)
 		return
 	}
 
@@ -76,47 +81,48 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	switch strings.ToLower(*query) {
-	case "q1":
+	switch q.ID {
+	case agg.QCountByKey:
 		printCounts(a.CountByKey(keys), *limit)
-	case "q2":
+	case agg.QAvgByKey:
 		printValues(a.AvgByKey(keys, vals), *limit)
-	case "q3":
+	case agg.QMedianByKey:
 		printValues(a.MedianByKey(keys, vals), *limit)
-	case "q4":
+	case agg.QCount:
 		fmt.Printf("count\t%d\n", a.Count(keys))
-	case "q5":
+	case agg.QAvg:
 		fmt.Printf("avg\t%g\n", a.Avg(vals))
-	case "q6":
+	case agg.QMedian:
 		m, err := a.Median(keys)
 		if err != nil {
 			fatalf("q6 with %s: %v", *backend, err)
 		}
 		fmt.Printf("median\t%g\n", m)
-	case "q7":
-		rows, err := a.CountRange(keys, *lo, *hi)
+	case agg.QRange:
+		rows, err := a.CountRange(keys, q.Lo, q.Hi)
 		if err != nil {
 			fatalf("q7 with %s: %v", *backend, err)
 		}
 		printCounts(rows, *limit)
-	case "sum":
-		printStats(a.SumByKey(keys, vals), *limit)
-	case "min":
-		printStats(a.MinByKey(keys, vals), *limit)
-	case "max":
-		printStats(a.MaxByKey(keys, vals), *limit)
-	case "mode":
+	case agg.QReduce:
+		switch q.Op {
+		case agg.OpSum:
+			printStats(a.SumByKey(keys, vals), *limit)
+		case agg.OpMin:
+			printStats(a.MinByKey(keys, vals), *limit)
+		case agg.OpMax:
+			printStats(a.MaxByKey(keys, vals), *limit)
+		}
+	case agg.QMode:
 		printValues(a.ModeByKey(keys, vals), *limit)
-	case "quantile":
-		printValues(a.QuantileByKey(keys, vals, *qv), *limit)
-	default:
-		fatalf("unknown query %q", *query)
+	case agg.QQuantile:
+		printValues(a.QuantileByKey(keys, vals, q.P), *limit)
 	}
 }
 
 // runStringMode executes the string-keyed queries over a CSV whose key
 // column is arbitrary text.
-func runStringMode(file, query, backend, prefix string, limit int) {
+func runStringMode(file string, q agg.Query, backend, prefix string, limit int) {
 	keys, vals, err := readStringCSV(file)
 	if err != nil {
 		fatalf("%v", err)
@@ -154,27 +160,27 @@ func runStringMode(file, query, backend, prefix string, limit int) {
 			fmt.Printf("%s\t%g\n", r.Key, r.Value)
 		}
 	}
-	switch strings.ToLower(query) {
-	case "q1":
+	switch q.ID {
+	case agg.QCountByKey:
 		printStrCounts(a.CountByKey(keys))
-	case "q2":
+	case agg.QAvgByKey:
 		printStrValues(a.AvgByKey(keys, vals))
-	case "q3":
+	case agg.QMedianByKey:
 		printStrValues(a.MedianByKey(keys, vals))
-	case "q6":
+	case agg.QMedian:
 		m, err := a.MedianKey(keys)
 		if err != nil {
 			fatalf("q6 with %s: %v", bk, err)
 		}
 		fmt.Printf("median_key\t%s\n", m)
-	case "q7":
+	case agg.QRange:
 		rows, err := a.CountByPrefix(keys, prefix)
 		if err != nil {
 			fatalf("q7 with %s: %v", bk, err)
 		}
 		printStrCounts(rows)
 	default:
-		fatalf("string mode supports q1, q2, q3, q6, q7 (got %q)", query)
+		fatalf("string mode supports q1, q2, q3, q6, q7 (got %s)", q)
 	}
 }
 

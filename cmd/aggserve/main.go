@@ -32,7 +32,8 @@
 // Errors share one JSON envelope: {"error": "...", "code": <status>}.
 //
 // Query aliases: q1=count_by_key q2=avg_by_key q3=median_by_key q4=count
-// q5=avg q6=median q7=range (with lo= and hi=); quantile takes p=0.9.
+// q5=avg q6=median q7=range (with lo= and hi=); quantile takes p in [0, 1]
+// (p=0.9); a NaN or out-of-range p is a 400.
 // Every query runs over a snapshot: a consistent state tagged with the
 // row-count watermark it covers, taken without pausing ingest. Responses
 // carry `ETag: "<watermark>"`; a request whose If-None-Match matches the
@@ -111,19 +112,8 @@ func main() {
 			st.Watermark, st.CheckpointWatermark, *dataDir, time.Since(start).Round(time.Millisecond))
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: newServer(s)}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-		<-sig
-		log.Print("aggserve: shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("aggserve: shutdown: %v", err)
-		}
+	log.Printf("aggserve: listening on %s (shards=%d holistic=%v)", *addr, s.Stats().Shards, *holistic)
+	serve(*addr, newServer(s), func() {
 		// In-flight handlers have drained; any that race the close observe
 		// ErrClosed and map to 503 (Close is safe against concurrent
 		// Append/Flush). On a durable stream Close also seals remaining
@@ -137,13 +127,7 @@ func main() {
 			log.Printf("aggserve: final checkpoint at watermark %d (%d checkpoints, %d WAL appends)",
 				st.CheckpointWatermark, st.Checkpoints, st.WALAppends)
 		}
-	}()
-
-	log.Printf("aggserve: listening on %s (shards=%d holistic=%v)", *addr, s.Stats().Shards, *holistic)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
-	<-done
+	})
 }
 
 // runRouter serves the cluster-router mode: no local stream — ingest is
@@ -167,21 +151,37 @@ func runRouter(addr, peerList string, maxInflight int) {
 		// booting. Exact queries fail typed until the membership is whole.
 		log.Printf("aggserve: router starting degraded: %v", err)
 	}
-	srv := &http.Server{Addr: addr, Handler: newRouterServer(rt)}
+	log.Printf("aggserve: router listening on %s (%d peers)", addr, len(peers))
+	serve(addr, newRouterServer(rt), nil)
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled or idle connection cannot pin a server goroutine
+// forever. Bodies stay unbounded here: a large binary ingest body
+// legitimately streams for a while.
+const readHeaderTimeout = 10 * time.Second
+
+// serve runs h on addr until SIGINT or SIGTERM, then stops accepting,
+// drains in-flight requests for up to 10 s and runs stop (when non-nil)
+// before returning — the listen/shutdown sequence of both modes.
+func serve(addr string, h http.Handler, stop func()) {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 		<-sig
-		log.Print("aggserve: router shutting down")
+		log.Print("aggserve: shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("aggserve: router shutdown: %v", err)
+			log.Printf("aggserve: shutdown: %v", err)
+		}
+		if stop != nil {
+			stop()
 		}
 	}()
-	log.Printf("aggserve: router listening on %s (%d peers)", addr, len(peers))
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -2,10 +2,7 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-	"net/url"
-	"strconv"
 
 	"memagg"
 	"memagg/internal/agg"
@@ -20,84 +17,18 @@ import (
 // set and merge exactly; responses carry the composed cluster watermark
 // and its ETag.
 type routerServer struct {
-	rt       *cluster.Router
-	mux      *http.ServeMux
-	reg      *obs.Registry
-	requests *obs.CounterVec
-	latency  *obs.HistogramVec
+	*api
+	rt *cluster.Router
 }
 
 func newRouterServer(rt *cluster.Router) *routerServer {
-	reg := obs.NewRegistry()
-	srv := &routerServer{
-		rt:  rt,
-		mux: http.NewServeMux(),
-		reg: reg,
-		requests: reg.NewCounterVec("memagg_http_requests_total",
-			"HTTP requests served, by route and status code.", "route", "code"),
-		latency: reg.NewHistogramVec("memagg_http_request_seconds",
-			"HTTP request latency, by route.", "route"),
-	}
+	srv := &routerServer{api: newAPI(obs.Default, rt.Registry()), rt: rt}
 	srv.handle("/ingest", srv.handleIngest)
 	srv.handle("/flush", srv.handleFlush)
 	srv.handle("/query", srv.handleQuery)
 	srv.handle("/cluster/stats", srv.handleClusterStats)
-	srv.handle("/healthz", srv.handleHealthz)
 	srv.handle("/readyz", srv.handleReadyz)
-	regs := []*obs.Registry{obs.Default, rt.Registry(), reg}
-	srv.mux.Handle("/v1/metrics", obs.Handler(regs...))
-	srv.mux.Handle("/metrics", obs.Handler(regs...))
-	srv.mux.Handle("/v1/debug/vars", obs.VarsHandler(regs...))
-	srv.mux.Handle("/debug/vars", obs.VarsHandler(regs...))
 	return srv
-}
-
-func (srv *routerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	srv.mux.ServeHTTP(w, r)
-}
-
-// handle mirrors server.handle: versioned /v1 mount plus the unversioned
-// alias, one shared route label.
-func (srv *routerServer) handle(route string, h http.HandlerFunc) {
-	lat := srv.latency.With(route)
-	wrapped := func(w http.ResponseWriter, r *http.Request) {
-		mk := obs.Start()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		mk.Tick(lat)
-		srv.requests.With(route, strconv.Itoa(sw.status)).Inc()
-	}
-	srv.mux.HandleFunc("/v1"+route, wrapped)
-	srv.mux.HandleFunc(route, wrapped)
-}
-
-// clusterStatus maps a router error to its HTTP status: 503 when peers
-// are unreachable (breaker open, retries exhausted, partial gather) —
-// the retryable condition — and 500 for anything else.
-func clusterStatus(err error) int {
-	if errors.Is(err, cluster.ErrPeerUnavailable) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-// clusterError writes a router failure in the shared error envelope,
-// with its typed detail: a partial gather additionally names the
-// unreachable peers so operators see which shard is out rather than a
-// bare 503.
-func clusterError(w http.ResponseWriter, err error) {
-	var pa *cluster.PartialAvailabilityError
-	if errors.As(err, &pa) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"error":   "partial availability: exact results need every shard",
-			"code":    http.StatusServiceUnavailable,
-			"missing": pa.Missing,
-		})
-		return
-	}
-	httpError(w, clusterStatus(err), err.Error())
 }
 
 func (srv *routerServer) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -109,13 +40,9 @@ func (srv *routerServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Binary chunk stream in, binary chunks out: each decoded chunk
 		// scatters columnar-wise by ring owner — one partition pass, one
 		// outbound wire chunk per peer, no JSON anywhere on the path.
-		rows, err := ingestChunks(r.Body, srv.rt.IngestChunk)
+		rows, err := agg.DrainChunks(r.Body, srv.rt.IngestChunk)
 		if err != nil {
-			if status, msg := chunkStatus(err); status == http.StatusBadRequest {
-				httpError(w, status, msg)
-			} else {
-				clusterError(w, err)
-			}
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, map[string]any{"appended": rows, "ingested": srv.rt.IngestRows()})
@@ -131,7 +58,7 @@ func (srv *routerServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := srv.rt.Ingest(req.Keys, req.Vals); err != nil {
-		clusterError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"appended": len(req.Keys), "ingested": srv.rt.IngestRows()})
@@ -143,7 +70,7 @@ func (srv *routerServer) handleFlush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := srv.rt.Flush(); err != nil {
-		clusterError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"flushed": true})
@@ -160,146 +87,29 @@ type clusterQueryResponse struct {
 	Result    any               `json:"result"`
 }
 
+// handleQuery answers over a fresh gather. The gather itself cannot be
+// skipped — the composed watermark vector, the entity tag, is only known
+// from the peers' responses — but on an ETag match the merge-side query
+// work and the response body are.
 func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		httpError(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	m, err := srv.rt.Gather()
-	if err != nil {
-		clusterError(w, err)
-		return
-	}
-	// The composed watermark vector fully determines every query result
-	// (per URL), so it is the entity tag — the single-node contract,
-	// lifted. The gather itself cannot be skipped (the vector is only
-	// known from the peers' responses), but the merge-side query work and
-	// the response body can.
-	etag := m.Watermark.ETag()
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	o := runClusterQuery(m, q, r.URL.Query())
-	if o.status != 0 {
-		httpError(w, o.status, o.errMsg)
-		return
-	}
-	w.Header().Set("ETag", etag)
-	writeJSON(w, clusterQueryResponse{
-		Query:     q,
-		Watermark: m.Watermark,
-		Rows:      m.Watermark.Total(),
-		Result:    o.result,
+	serveQuery(w, r, func() (queryState, error) {
+		m, err := srv.rt.Gather()
+		return clusterState{m}, err
 	})
 }
 
-// countsOut/valuesOut/statsOut convert the merged kernels' agg rows to
-// the facade's response types, so router and single-node responses are
-// shape-identical (nil stays nil, matching empty-result encoding).
-func countsOut(a []agg.GroupCount) []memagg.GroupCount {
-	if a == nil {
-		return nil
-	}
-	out := make([]memagg.GroupCount, len(a))
-	for i, g := range a {
-		out[i] = memagg.GroupCount{Key: g.Key, Count: g.Count}
-	}
-	return out
+// clusterState is the queryState of the router: one merged gather.
+type clusterState struct{ m *cluster.Merged }
+
+func (s clusterState) etag() string { return s.m.Watermark.ETag() }
+
+func (s clusterState) run(q agg.Query) (any, error) {
+	v, err := s.m.Run(q)
+	return memagg.PublicResult(v), err
 }
 
-func valuesOut(a []agg.GroupFloat) []memagg.GroupValue {
-	if a == nil {
-		return nil
-	}
-	out := make([]memagg.GroupValue, len(a))
-	for i, g := range a {
-		out[i] = memagg.GroupValue{Key: g.Key, Value: g.Val}
-	}
-	return out
-}
-
-func statsOut(a []agg.GroupUint) []memagg.GroupStat {
-	if a == nil {
-		return nil
-	}
-	out := make([]memagg.GroupStat, len(a))
-	for i, g := range a {
-		out[i] = memagg.GroupStat{Key: g.Key, Value: g.Val}
-	}
-	return out
-}
-
-// runClusterQuery executes one named query over a merged gather — the
-// same vocabulary runQuery speaks, answered from cluster.Merged's exact
-// kernels.
-func runClusterQuery(m *cluster.Merged, q string, params url.Values) outcome {
-	var (
-		result any
-		err    error
-	)
-	switch q {
-	case "q1", "count_by_key":
-		result = countsOut(m.CountByKey())
-	case "q2", "avg_by_key":
-		result = valuesOut(m.AvgByKey())
-	case "q3", "median_by_key":
-		var rows []agg.GroupFloat
-		rows, err = m.MedianByKey()
-		result = valuesOut(rows)
-	case "q4", "count":
-		result = m.Count()
-	case "q5", "avg":
-		result = m.Avg()
-	case "q6", "median":
-		result, err = m.Median()
-	case "q7", "range":
-		lo, lerr := queryUint(params, "lo")
-		hi, herr := queryUint(params, "hi")
-		if lerr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: lerr.Error()}
-		}
-		if herr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: herr.Error()}
-		}
-		var rows []agg.GroupCount
-		rows, err = m.CountRange(lo, hi)
-		result = countsOut(rows)
-	case "sum":
-		result = statsOut(m.Reduce(agg.OpSum))
-	case "min":
-		result = statsOut(m.Reduce(agg.OpMin))
-	case "max":
-		result = statsOut(m.Reduce(agg.OpMax))
-	case "quantile":
-		p, perr := strconv.ParseFloat(params.Get("p"), 64)
-		if perr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: "quantile needs p=0..1"}
-		}
-		var rows []agg.GroupFloat
-		rows, err = m.QuantileByKey(p)
-		result = valuesOut(rows)
-	case "mode":
-		var rows []agg.GroupFloat
-		rows, err = m.ModeByKey()
-		result = valuesOut(rows)
-	default:
-		return outcome{status: http.StatusBadRequest, errMsg: "unknown query " + strconv.Quote(q)}
-	}
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, memagg.ErrUnsupportedQuery) {
-			status = http.StatusUnprocessableEntity
-		}
-		return outcome{status: status, errMsg: err.Error()}
-	}
-	return outcome{result: result}
+func (s clusterState) response(name string, result any) any {
+	return clusterQueryResponse{Query: name, Watermark: s.m.Watermark, Rows: s.m.Watermark.Total(), Result: result}
 }
 
 func (srv *routerServer) handleClusterStats(w http.ResponseWriter, r *http.Request) {
@@ -307,10 +117,6 @@ func (srv *routerServer) handleClusterStats(w http.ResponseWriter, r *http.Reque
 		"peers":       srv.rt.Stats(),
 		"ingest_rows": srv.rt.IngestRows(),
 	})
-}
-
-func (srv *routerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"ok": true})
 }
 
 // handleReadyz reports whether the whole membership is ready: the router

@@ -1,51 +1,28 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"log"
 	"mime"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 
 	"memagg"
+	"memagg/internal/agg"
 	"memagg/internal/obs"
 )
 
-// statusClientClosedRequest reports a request whose client disconnected
-// before the response was ready (the nginx convention; Go's standard
-// status list stops at 511).
-const statusClientClosedRequest = 499
-
-// server wires one memagg.Stream to the HTTP API. Every route passes
-// through the metrics middleware (per-route request counters by status
-// code, per-route latency histograms), and /metrics serves those families
-// next to the process-global registry (engine phases, arena accounting)
-// and the stream's own (ingest, seal, merge, snapshot instruments).
+// server wires one memagg.Stream to the HTTP API. Beside the shared
+// per-route request metrics, /metrics serves the process-global registry
+// (engine phases, arena accounting) and the stream's own (ingest, seal,
+// merge, snapshot instruments).
 type server struct {
-	stream   *memagg.Stream
-	mux      *http.ServeMux
-	reg      *obs.Registry
-	requests *obs.CounterVec
-	latency  *obs.HistogramVec
+	*api
+	stream *memagg.Stream
 }
 
 func newServer(s *memagg.Stream) *server {
-	reg := obs.NewRegistry()
-	srv := &server{
-		stream: s,
-		mux:    http.NewServeMux(),
-		reg:    reg,
-		requests: reg.NewCounterVec("memagg_http_requests_total",
-			"HTTP requests served, by route and status code.", "route", "code"),
-		latency: reg.NewHistogramVec("memagg_http_request_seconds",
-			"HTTP request latency, by route.", "route"),
-	}
+	srv := &server{api: newAPI(obs.Default, s.MetricsRegistry()), stream: s}
 	srv.handle("/ingest", srv.handleIngest)
 	srv.handle("/flush", srv.handleFlush)
 	srv.handle("/query", srv.handleQuery)
@@ -53,47 +30,8 @@ func newServer(s *memagg.Stream) *server {
 	srv.handle("/partials", srv.handlePartials)
 	srv.handle("/views", srv.handleViews)
 	srv.handle("/views/", srv.handleViewItem)
-	srv.handle("/healthz", srv.handleHealthz)
 	srv.handle("/readyz", srv.handleReadyz)
-	regs := []*obs.Registry{obs.Default, s.MetricsRegistry(), reg}
-	srv.mux.Handle("/v1/metrics", obs.Handler(regs...))
-	srv.mux.Handle("/metrics", obs.Handler(regs...))
-	srv.mux.Handle("/v1/debug/vars", obs.VarsHandler(regs...))
-	srv.mux.Handle("/debug/vars", obs.VarsHandler(regs...))
 	return srv
-}
-
-func (srv *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	srv.mux.ServeHTTP(w, r)
-}
-
-// statusWriter captures the status code a handler writes (200 when the
-// handler never calls WriteHeader explicitly).
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// handle registers h behind the metrics middleware, mounted at its
-// versioned path /v1<route> with the unversioned route kept as an alias.
-// Both spellings share one route label so the metric cardinality (and
-// existing dashboards) do not split by prefix.
-func (srv *server) handle(route string, h http.HandlerFunc) {
-	lat := srv.latency.With(route)
-	wrapped := func(w http.ResponseWriter, r *http.Request) {
-		mk := obs.Start()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		mk.Tick(lat)
-		srv.requests.With(route, strconv.Itoa(sw.status)).Inc()
-	}
-	srv.mux.HandleFunc("/v1"+route, wrapped)
-	srv.mux.HandleFunc(route, wrapped)
 }
 
 type ingestRequest struct {
@@ -110,10 +48,9 @@ func (srv *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Binary chunk stream: decode each wire chunk and transfer its
 		// freshly allocated columns straight into the stream — the only
 		// copy between socket and delta table is the wire decode itself.
-		rows, err := ingestChunks(r.Body, srv.stream.AppendOwnedChunk)
+		rows, err := agg.DrainChunks(r.Body, srv.stream.AppendOwnedChunk)
 		if err != nil {
-			status, msg := chunkStatus(err)
-			httpError(w, status, msg)
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, map[string]any{"appended": rows, "ingested": srv.stream.Stats().Ingested})
@@ -132,7 +69,7 @@ func (srv *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// transfer to the stream without the AppendChunk copy.
 	n := len(req.Keys)
 	if err := srv.stream.AppendOwnedChunk(memagg.Chunk{Keys: req.Keys, Vals: req.Vals}); err != nil {
-		httpError(w, ingestStatus(err), err.Error())
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"appended": n, "ingested": srv.stream.Stats().Ingested})
@@ -145,58 +82,13 @@ func isChunkRequest(r *http.Request) bool {
 	return err == nil && mt == memagg.ChunkContentType
 }
 
-// ingestChunks drains one binary chunk-stream body into sink (column
-// ownership transfers with each chunk) and returns the rows appended.
-// Chunks handed off before an error stay applied — per-chunk atomicity,
-// the binary analog of the JSON path's per-request batch.
-func ingestChunks(body io.Reader, sink func(memagg.Chunk) error) (int, error) {
-	br := bufio.NewReaderSize(body, 64<<10)
-	rows := 0
-	for {
-		c, err := memagg.ReadChunk(br)
-		if err == io.EOF {
-			return rows, nil
-		}
-		if err != nil {
-			return rows, err
-		}
-		n := c.Rows()
-		if err := sink(c); err != nil {
-			return rows, err
-		}
-		rows += n
-	}
-}
-
-// chunkStatus splits a chunk-ingest failure into its HTTP status:
-// wire-grade errors (malformed chunk, torn frame) are the client's 400,
-// stream refusals map through ingestStatus.
-func chunkStatus(err error) (int, string) {
-	if errors.Is(err, memagg.ErrChunkWire) || errors.Is(err, memagg.ErrWALCorrupt) {
-		return http.StatusBadRequest, "bad chunk body: " + err.Error()
-	}
-	return ingestStatus(err), err.Error()
-}
-
-// ingestStatus maps an Append/Flush error to its HTTP status: 503 for the
-// expected refusals — the stream is draining during shutdown (ErrClosed)
-// or has degraded to read-only after a durability fault (ErrDurability) —
-// and 500 for anything else. The explicit errors.Is mapping keeps a future
-// unexpected error from masquerading as routine unavailability.
-func ingestStatus(err error) int {
-	if errors.Is(err, memagg.ErrClosed) || errors.Is(err, memagg.ErrDurability) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
 func (srv *server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if err := srv.stream.Flush(); err != nil {
-		httpError(w, ingestStatus(err), err.Error())
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"watermark": srv.stream.Stats().Watermark})
@@ -225,14 +117,6 @@ func (srv *server) handlePartials(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleHealthz is the liveness probe: the process is up and the mux is
-// serving. It deliberately checks nothing else — a read-only or closed
-// stream is still alive and still answers queries, and restarting it
-// would not help.
-func (srv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"ok": true})
-}
-
 // handleReadyz is the readiness probe: the stream accepts writes — open,
 // recovery complete (OpenStream returns only after replay), and not
 // degraded to read-only by a durability fault. The cluster router gates
@@ -258,151 +142,19 @@ type queryResponse struct {
 	Result    any    `json:"result"`
 }
 
-// outcome is one finished query: result on success, status+message on
-// failure (status 0 means success).
-type outcome struct {
-	result any
-	status int
-	errMsg string
-}
-
+// handleQuery answers over a freshly pinned snapshot; its watermark is
+// the entity tag.
 func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		httpError(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	sn := srv.stream.Snapshot()
-	// A query result is fully determined by the snapshot watermark (per
-	// URL, which carries the query id and parameters), so the watermark is
-	// the entity tag. A client that cached the body at this watermark gets
-	// a 304 before any query work runs — the cheapest cache hit there is.
-	etag := `"` + strconv.FormatUint(sn.Watermark(), 10) + `"`
-	if match := r.Header.Get("If-None-Match"); etagMatches(match, etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	done := make(chan outcome, 1)
-	go func() { done <- runQuery(sn, q, r.URL.Query()) }()
-	select {
-	case <-r.Context().Done():
-		// The client went away or the server is draining: stop waiting.
-		// The snapshot query finishes in the background and is discarded —
-		// snapshots are read-only, so there is nothing to undo.
-		httpError(w, statusClientClosedRequest, "request canceled: "+r.Context().Err().Error())
-	case o := <-done:
-		if o.status != 0 {
-			httpError(w, o.status, o.errMsg)
-			return
-		}
-		w.Header().Set("ETag", etag)
-		writeJSON(w, queryResponse{Query: q, Watermark: sn.Watermark(), Result: o.result})
-	}
+	serveQuery(w, r, func() (queryState, error) { return nodeState{srv.stream.Snapshot()}, nil })
 }
 
-// etagMatches reports whether an If-None-Match header value matches the
-// given entity tag: "*" matches anything, and the comma-separated list is
-// compared tag by tag. Weak validators (W/ prefix) compare by opaque tag —
-// the weak comparison RFC 9110 prescribes for If-None-Match.
-func etagMatches(header, etag string) bool {
-	if header == "" {
-		return false
-	}
-	if header == "*" {
-		return true
-	}
-	for _, tag := range strings.Split(header, ",") {
-		tag = strings.TrimSpace(tag)
-		tag = strings.TrimPrefix(tag, "W/")
-		if tag == etag {
-			return true
-		}
-	}
-	return false
-}
+// nodeState is the queryState of a single node: one stream snapshot.
+type nodeState struct{ sn *memagg.StreamSnapshot }
 
-// runQuery executes one named query over a pinned snapshot.
-func runQuery(sn *memagg.StreamSnapshot, q string, params url.Values) outcome {
-	var (
-		result any
-		err    error
-	)
-	switch q {
-	case "q1", "count_by_key":
-		result = sn.CountByKey()
-	case "q2", "avg_by_key":
-		result = sn.AvgByKey()
-	case "q3", "median_by_key":
-		result, err = sn.MedianByKey()
-	case "q4", "count":
-		result = sn.Count()
-	case "q5", "avg":
-		result = sn.Avg()
-	case "q6", "median":
-		result, err = sn.Median()
-	case "q7", "range":
-		lo, lerr := queryUint(params, "lo")
-		hi, herr := queryUint(params, "hi")
-		if lerr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: lerr.Error()}
-		}
-		if herr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: herr.Error()}
-		}
-		result, err = sn.CountRange(lo, hi)
-	case "sum":
-		result = sn.SumByKey()
-	case "min":
-		result = sn.MinByKey()
-	case "max":
-		result = sn.MaxByKey()
-	case "quantile":
-		p, perr := strconv.ParseFloat(params.Get("p"), 64)
-		if perr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: "quantile needs p=0..1"}
-		}
-		result, err = sn.QuantileByKey(p)
-	case "mode":
-		result, err = sn.ModeByKey()
-	default:
-		return outcome{status: http.StatusBadRequest, errMsg: "unknown query " + strconv.Quote(q)}
-	}
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, memagg.ErrUnsupportedQuery) {
-			status = http.StatusUnprocessableEntity
-		}
-		return outcome{status: status, errMsg: err.Error()}
-	}
-	return outcome{result: result}
-}
+func (s nodeState) etag() string { return `"` + strconv.FormatUint(s.sn.Watermark(), 10) + `"` }
 
-func queryUint(params url.Values, name string) (uint64, error) {
-	v := params.Get(name)
-	if v == "" {
-		return 0, fmt.Errorf("range needs %s=", name)
-	}
-	return strconv.ParseUint(v, 10, 64)
-}
+func (s nodeState) run(q agg.Query) (any, error) { return s.sn.Run(q) }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("aggserve: encode: %v", err)
-	}
-}
-
-// httpError writes the API's error envelope: {"error": ..., "code": ...},
-// code echoing the HTTP status. Every failure on both the single-node and
-// router surfaces uses this one shape (clusterError adds detail fields to
-// the same envelope).
-func httpError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{"error": msg, "code": status})
+func (s nodeState) response(name string, result any) any {
+	return queryResponse{Query: name, Watermark: s.sn.Watermark(), Result: result}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -564,5 +565,87 @@ func TestRouterServerRoundTrip(t *testing.T) {
 		if p.Breaker != "closed" {
 			t.Fatalf("peer %s breaker %q, want closed", p.Peer, p.Breaker)
 		}
+	}
+}
+
+// TestQueryNodeRouterParity is the router-vs-node table: the same rows fed
+// to one node and to a 3-node cluster must give the same status and, for
+// results whose order is defined (scalars and Q7), byte-identical
+// "result" JSON. Bad quantile parameters are a 400 envelope on both —
+// NaN used to panic the node's query goroutine — and an empty Q7 range
+// is [] on both, never null.
+func TestQueryNodeRouterParity(t *testing.T) {
+	node, _ := newTestServer(t)
+	router := newTestCluster(t, 3)
+	body := `{"keys":[1,2,1,3,9,9,4,7],"vals":[10,20,30,40,5,7,11,13]}`
+	if w := do(t, node, http.MethodPost, "/v1/ingest", body); w.Code != http.StatusOK {
+		t.Fatalf("node ingest = %d: %s", w.Code, w.Body)
+	}
+	if w := doRouter(t, router, http.MethodPost, "/v1/ingest", body); w.Code != http.StatusOK {
+		t.Fatalf("router ingest = %d: %s", w.Code, w.Body)
+	}
+	if w := do(t, node, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
+		t.Fatalf("node flush = %d: %s", w.Code, w.Body)
+	}
+	if w := doRouter(t, router, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
+		t.Fatalf("router flush = %d: %s", w.Code, w.Body)
+	}
+
+	cases := []struct {
+		name, query string
+		want        int
+		result      string // expected result JSON, when pinned
+	}{
+		{name: "quantile_nan", query: "quantile&p=NaN", want: http.StatusBadRequest},
+		{name: "quantile_above_1", query: "quantile&p=1.5", want: http.StatusBadRequest},
+		{name: "quantile_negative", query: "quantile&p=-3", want: http.StatusBadRequest},
+		{name: "quantile_missing_p", query: "quantile", want: http.StatusBadRequest},
+		{name: "q7_missing_hi", query: "q7&lo=1", want: http.StatusBadRequest},
+		{name: "unknown", query: "q8", want: http.StatusBadRequest},
+		{name: "q7_empty", query: "q7&lo=9&hi=3", want: http.StatusOK, result: "[]"},
+		{name: "q7_miss", query: "q7&lo=100&hi=200", want: http.StatusOK, result: "[]"},
+		{name: "q7", query: "range&lo=2&hi=7", want: http.StatusOK},
+		{name: "q4", query: "count", want: http.StatusOK, result: "8"},
+		{name: "q5", query: "q5", want: http.StatusOK},
+		{name: "q6", query: "median", want: http.StatusOK},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			target := "/v1/query?q=" + c.query
+			wn := do(t, node, http.MethodGet, target, "")
+			wr := doRouter(t, router, http.MethodGet, target, "")
+			for who, w := range map[string]*httptest.ResponseRecorder{"node": wn, "router": wr} {
+				if w.Code != c.want {
+					t.Fatalf("%s %s = %d, want %d (%s)", who, target, w.Code, c.want, w.Body)
+				}
+			}
+			if c.want != http.StatusOK {
+				for who, w := range map[string]*httptest.ResponseRecorder{"node": wn, "router": wr} {
+					var env struct {
+						Error string `json:"error"`
+						Code  int    `json:"code"`
+					}
+					if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Code != c.want || env.Error == "" {
+						t.Fatalf("%s error envelope %s (%v)", who, w.Body, err)
+					}
+				}
+				return
+			}
+			var rn, rr struct {
+				Result json.RawMessage `json:"result"`
+			}
+			if err := json.Unmarshal(wn.Body.Bytes(), &rn); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(wr.Body.Bytes(), &rr); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rn.Result, rr.Result) {
+				t.Fatalf("result differs:\nnode:   %s\nrouter: %s", rn.Result, rr.Result)
+			}
+			if c.result != "" && string(rn.Result) != c.result {
+				t.Fatalf("result %s, want %s", rn.Result, c.result)
+			}
+		})
 	}
 }

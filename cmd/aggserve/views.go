@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -57,7 +56,7 @@ func (srv *server) handleViews(w http.ResponseWriter, r *http.Request) {
 			Sliding:  req.Sliding,
 		})
 		if err != nil {
-			httpError(w, viewStatus(err), err.Error())
+			writeError(w, err)
 			return
 		}
 		info, err := srv.stream.ViewStatus(req.Name)
@@ -90,7 +89,7 @@ func (srv *server) handleViewItem(w http.ResponseWriter, r *http.Request) {
 	case sub == "" && r.Method == http.MethodGet:
 		info, err := srv.stream.ViewStatus(name)
 		if err != nil {
-			httpError(w, viewStatus(err), err.Error())
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, info)
@@ -113,41 +112,25 @@ func (srv *server) handleViewResult(w http.ResponseWriter, r *http.Request, name
 	// checked before any pane merge runs.
 	info, err := srv.stream.ViewStatus(name)
 	if err != nil {
-		httpError(w, viewStatus(err), err.Error())
+		writeError(w, err)
 		return
 	}
-	etag := `"cv` + strconv.FormatUint(info.Version, 10) + "-" +
-		strconv.FormatUint(info.Watermark, 10) + `"`
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		w.WriteHeader(http.StatusNotModified)
+	if notModified(w, r, viewETag(info.Version, info.Watermark)) {
 		return
 	}
 	res, err := srv.stream.View(name)
 	if err != nil {
-		httpError(w, viewStatus(err), err.Error())
+		writeError(w, err)
 		return
 	}
 	// Tag with the version the result actually carries: a seal may have
 	// landed between the info read and the evaluation.
-	etag = `"cv` + strconv.FormatUint(res.Version, 10) + "-" +
-		strconv.FormatUint(res.WindowEnd, 10) + `"`
-	w.Header().Set("ETag", etag)
+	w.Header().Set("ETag", viewETag(res.Version, res.WindowEnd))
 	writeJSON(w, res)
 }
 
-// viewStatus maps a view-API error to its HTTP status.
-func viewStatus(err error) int {
-	switch {
-	case errors.Is(err, memagg.ErrViewExists):
-		return http.StatusConflict
-	case errors.Is(err, memagg.ErrUnknownView):
-		return http.StatusNotFound
-	case errors.Is(err, memagg.ErrUnsupportedQuery):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, memagg.ErrBadView):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
+// viewETag is a view result's entity tag: its fold/evict version and the
+// watermark it has absorbed.
+func viewETag(version, watermark uint64) string {
+	return `"cv` + strconv.FormatUint(version, 10) + "-" + strconv.FormatUint(watermark, 10) + `"`
 }

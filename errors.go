@@ -51,6 +51,11 @@ var (
 	// (or since dropped).
 	ErrUnknownView = cview.ErrUnknown
 
+	// ErrBadQuery reports a query outside the vocabulary: an unknown
+	// name or a parameter out of range (a quantile p outside [0, 1], NaN
+	// included).
+	ErrBadQuery = agg.ErrBadQuery
+
 	// ErrBadView reports an invalid ViewSpec (bad name, zero pane width,
 	// pane count out of range, unknown query spelling or parameter).
 	ErrBadView = cview.ErrBadSpec

@@ -243,6 +243,31 @@ func ReadChunk(br *bufio.Reader) (Chunk, error) {
 	return c, nil
 }
 
+// DrainChunks reads a whole chunk stream from r — an ingest request body
+// — handing each decoded chunk to sink (column ownership transfers with
+// it), and returns the rows sunk. Chunks handed off before an error stay
+// applied: per-chunk atomicity, the binary analog of a JSON body's
+// per-request batch. A malformed stream fails with a "bad chunk body"
+// error wrapping ReadChunk's; sink errors return as they are.
+func DrainChunks(r io.Reader, sink func(Chunk) error) (int, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	rows := 0
+	for {
+		c, err := ReadChunk(br)
+		if err == io.EOF {
+			return rows, nil
+		}
+		if err != nil {
+			return rows, fmt.Errorf("bad chunk body: %w", err)
+		}
+		n := c.Rows()
+		if err := sink(c); err != nil {
+			return rows, err
+		}
+		rows += n
+	}
+}
+
 // DecodeChunkWire decodes the first wire chunk in src, returning it and
 // the bytes consumed — the buffer-at-once form of ReadChunk (tests, the
 // fuzzer, and small clients use it; servers stream with ReadChunk).

@@ -44,13 +44,20 @@ func buildStream(t *testing.T, holistic bool, rows int) (*stream.Stream, map[uin
 	return s, want
 }
 
-func decodeAll(t *testing.T, buf []byte) (setHeader, map[uint64]*mgroup) {
+// decodedGroup is one group as decodeAll accumulates it: the merged
+// eager state plus the concatenated value multiset.
+type decodedGroup struct {
+	p    agg.Partial
+	vals []uint64
+}
+
+func decodeAll(t *testing.T, buf []byte) (setHeader, map[uint64]*decodedGroup) {
 	t.Helper()
-	groups := make(map[uint64]*mgroup)
+	groups := make(map[uint64]*decodedGroup)
 	hdr, err := DecodePartialSet(bytes.NewReader(buf), func(k uint64, p *agg.Partial, vals []uint64) error {
 		g := groups[k]
 		if g == nil {
-			g = &mgroup{}
+			g = &decodedGroup{}
 			groups[k] = g
 		}
 		g.p.Merge(p)

@@ -1,33 +1,25 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"memagg/internal/agg"
 )
 
-// mgroup is one group's cluster-wide merged state: the eager distributive
-// fold plus the concatenated value multiset (holistic mode only). Routing
-// keeps groups node-disjoint, so folding a gather is normally pure
-// insertion; Merge keeps it exact even if a group ever has state on two
-// nodes.
-type mgroup struct {
-	p    agg.Partial
-	vals []uint64
-}
-
 // Merged is one consistent cluster-wide aggregate state: every group's
-// merged partial, tagged with the composed watermark vector it reflects.
-// Its query kernels answer the paper's Q1–Q7 (plus quantile and mode)
-// with results exactly equal to a single stream that ingested every row —
-// the distributive/algebraic cases by Partial.Merge, the holistic cases
-// because median/quantile/mode are multiset functions, indifferent to the
-// order the per-node value lists concatenate in.
+// merged partial in one table, tagged with the composed watermark vector
+// it reflects. It answers the paper's Q1–Q7 (plus quantile and mode)
+// through the shared agg.Exec kernels, with results exactly equal to a
+// single stream that ingested every row — the distributive/algebraic
+// cases by Partial.Merge, the holistic cases because median/quantile/mode
+// are multiset functions, indifferent to the order the per-node value
+// lists concatenate in.
 //
-// Vector results are returned sorted ascending by key: gather order is
-// peer order and map iteration, so sorting is what makes the output
-// deterministic (the tree-engine convention; single-node hash results are
-// unordered and must be sorted for comparison anyway).
+// Vector results are returned sorted ascending by key: the merged table's
+// iteration order depends on gather order, so sorting is what makes the
+// output deterministic (the tree-engine convention; single-node hash
+// results are unordered and must be sorted for comparison anyway).
 type Merged struct {
 	// Watermark is the composed cluster watermark this state reflects:
 	// element i is peer i's snapshot watermark.
@@ -37,108 +29,86 @@ type Merged struct {
 	// peer — the gate for MedianByKey/QuantileByKey/ModeByKey.
 	Holistic bool
 
-	groups map[uint64]*mgroup
-	keys   []uint64 // sorted, built lazily
+	tb agg.Table
 }
 
-func newMerged(peers int) *Merged {
-	return &Merged{
-		Watermark: make(Watermark, peers),
-		groups:    make(map[uint64]*mgroup),
+// merge folds the peers' decoded sets into one Merged state: the first
+// set's table becomes the cluster table and the rest fold into it with
+// agg.MergeTable — exact even when a key has state on two peers.
+func merge(sets []*peerSet) *Merged {
+	m := &Merged{Watermark: make(Watermark, len(sets)), Holistic: true}
+	for i, set := range sets {
+		m.Watermark[i] = set.hdr.Watermark
+		m.Holistic = m.Holistic && set.hdr.Holistic
 	}
-}
-
-// fold merges one peer's decoded set into the cluster state.
-func (m *Merged) fold(set *peerSet) {
-	for k, g := range set.groups {
-		dst := m.groups[k]
-		if dst == nil {
-			m.groups[k] = g
+	for i, set := range sets {
+		if i == 0 {
+			m.tb = set.tb
 			continue
 		}
-		dst.p.Merge(&g.p)
-		dst.vals = append(dst.vals, g.vals...)
+		agg.MergeTable(m.tb, set.tb, m.Holistic)
 	}
-	m.keys = nil
-}
-
-// sortedKeys returns every group key ascending, built once.
-func (m *Merged) sortedKeys() []uint64 {
-	if m.keys == nil {
-		m.keys = make([]uint64, 0, len(m.groups))
-		for k := range m.groups {
-			m.keys = append(m.keys, k)
-		}
-		sort.Slice(m.keys, func(i, j int) bool { return m.keys[i] < m.keys[j] })
-	}
-	return m.keys
+	return m
 }
 
 // Groups returns the number of distinct keys across the cluster.
-func (m *Merged) Groups() int { return len(m.groups) }
+func (m *Merged) Groups() int { return m.tb.Len() }
+
+// Run executes one query of the shared vocabulary over the merged state,
+// with vector rows ascending by key. Invalid queries fail with
+// agg.ErrBadQuery; holistic ones fail with agg.ErrUnsupported unless
+// every peer retains value multisets.
+func (m *Merged) Run(q agg.Query) (any, error) {
+	if err := q.Check(m.Holistic); err != nil {
+		return nil, err
+	}
+	v := agg.Exec{}.Run(q, []agg.Table{m.tb}, m.Watermark.Total())
+	switch rows := v.(type) {
+	case []agg.GroupCount:
+		slices.SortFunc(rows, func(a, b agg.GroupCount) int { return cmp.Compare(a.Key, b.Key) })
+	case []agg.GroupFloat:
+		slices.SortFunc(rows, func(a, b agg.GroupFloat) int { return cmp.Compare(a.Key, b.Key) })
+	case []agg.GroupUint:
+		slices.SortFunc(rows, func(a, b agg.GroupUint) int { return cmp.Compare(a.Key, b.Key) })
+	}
+	return v, nil
+}
 
 // CountByKey executes Q1: one (key, COUNT(*)) row per distinct key,
 // ascending by key.
 func (m *Merged) CountByKey() []agg.GroupCount {
-	keys := m.sortedKeys()
-	out := make([]agg.GroupCount, len(keys))
-	for i, k := range keys {
-		out[i] = agg.GroupCount{Key: k, Count: m.groups[k].p.Count()}
-	}
-	return out
+	rows, _ := agg.As[[]agg.GroupCount](m.Run, agg.Query{ID: agg.QCountByKey})
+	return rows
 }
 
 // AvgByKey executes Q2: one (key, AVG(val)) row per distinct key,
 // ascending by key.
 func (m *Merged) AvgByKey() []agg.GroupFloat {
-	keys := m.sortedKeys()
-	out := make([]agg.GroupFloat, len(keys))
-	for i, k := range keys {
-		out[i] = agg.GroupFloat{Key: k, Val: m.groups[k].p.Avg()}
-	}
-	return out
+	rows, _ := agg.As[[]agg.GroupFloat](m.Run, agg.Query{ID: agg.QAvgByKey})
+	return rows
 }
 
 // Reduce executes the generalized distributive vector query for op,
-// ascending by key.
+// ascending by key. An op outside the ReduceOp set returns nil.
 func (m *Merged) Reduce(op agg.ReduceOp) []agg.GroupUint {
-	keys := m.sortedKeys()
-	out := make([]agg.GroupUint, len(keys))
-	for i, k := range keys {
-		out[i] = agg.GroupUint{Key: k, Val: m.groups[k].p.Reduce(op)}
-	}
-	return out
-}
-
-// HolisticByKey executes the generalized holistic vector query: one
-// (key, fn(values)) row per distinct key, ascending. agg.ErrUnsupported
-// when the cluster does not retain value multisets. fn may reorder each
-// group's (router-owned) value slice in place.
-func (m *Merged) HolisticByKey(fn agg.HolisticFunc) ([]agg.GroupFloat, error) {
-	if !m.Holistic {
-		return nil, agg.ErrUnsupported
-	}
-	keys := m.sortedKeys()
-	out := make([]agg.GroupFloat, len(keys))
-	for i, k := range keys {
-		out[i] = agg.GroupFloat{Key: k, Val: fn(m.groups[k].vals)}
-	}
-	return out, nil
+	rows, _ := agg.As[[]agg.GroupUint](m.Run, agg.Query{ID: agg.QReduce, Op: op})
+	return rows
 }
 
 // MedianByKey executes Q3 (holistic): per-key median.
 func (m *Merged) MedianByKey() ([]agg.GroupFloat, error) {
-	return m.HolisticByKey(agg.MedianFunc)
+	return agg.As[[]agg.GroupFloat](m.Run, agg.Query{ID: agg.QMedianByKey})
 }
 
-// QuantileByKey executes the nearest-rank q-quantile per distinct key.
+// QuantileByKey executes the nearest-rank q-quantile per distinct key;
+// q outside [0, 1] (or NaN) is agg.ErrBadQuery.
 func (m *Merged) QuantileByKey(q float64) ([]agg.GroupFloat, error) {
-	return m.HolisticByKey(agg.QuantileFunc(q))
+	return agg.As[[]agg.GroupFloat](m.Run, agg.Query{ID: agg.QQuantile, P: q})
 }
 
 // ModeByKey executes the most-frequent-value query per distinct key.
 func (m *Merged) ModeByKey() ([]agg.GroupFloat, error) {
-	return m.HolisticByKey(agg.ModeFunc)
+	return agg.As[[]agg.GroupFloat](m.Run, agg.Query{ID: agg.QMode})
 }
 
 // Count executes Q4: COUNT(*) over the cluster — the watermark total.
@@ -148,56 +118,18 @@ func (m *Merged) Count() uint64 { return m.Watermark.Total() }
 // exact cluster-wide sum by the exact count — bit-identical to the
 // single-node kernel, which computes the same two integers.
 func (m *Merged) Avg() float64 {
-	var sum, count uint64
-	for _, g := range m.groups {
-		sum += g.p.Sum()
-		count += g.p.Count()
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(sum) / float64(count)
+	avg, _ := agg.As[float64](m.Run, agg.Query{ID: agg.QAvg})
+	return avg
 }
 
 // Median executes Q6: MEDIAN over the key column, exact via the sorted
-// (key, count) walk — the same nearest-rank(s) arithmetic as the
-// single-node kernel.
+// (key, count) walk of the shared kernel. The error is always nil.
 func (m *Merged) Median() (float64, error) {
-	keys := m.sortedKeys()
-	var n uint64
-	for _, g := range m.groups {
-		n += g.p.Count()
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	rank := func(r uint64) uint64 {
-		var cum uint64
-		for _, k := range keys {
-			cum += m.groups[k].p.Count()
-			if r < cum {
-				return k
-			}
-		}
-		return keys[len(keys)-1]
-	}
-	med := float64(rank(n / 2))
-	if n%2 == 0 {
-		med = (float64(rank(n/2-1)) + med) / 2
-	}
-	return med, nil
+	return agg.As[float64](m.Run, agg.Query{ID: agg.QMedian})
 }
 
 // CountRange executes Q7: Q1 restricted to lo <= key <= hi, ascending by
 // key. The error is always nil; the signature matches the engines'.
 func (m *Merged) CountRange(lo, hi uint64) ([]agg.GroupCount, error) {
-	keys := m.sortedKeys()
-	var out []agg.GroupCount
-	for _, k := range keys {
-		if k < lo || k > hi {
-			continue
-		}
-		out = append(out, agg.GroupCount{Key: k, Count: m.groups[k].p.Count()})
-	}
-	return out, nil
+	return agg.As[[]agg.GroupCount](m.Run, agg.Query{ID: agg.QRange, Lo: lo, Hi: hi})
 }

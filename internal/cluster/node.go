@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
-	"io"
 	"mime"
 	"net/http"
 	"strconv"
@@ -43,12 +41,11 @@ func NodeHandler(s *stream.Stream) http.Handler {
 			return
 		}
 		if isChunkBody(r) {
-			rows, err := ingestChunkStream(r.Body, func(c agg.Chunk) error {
+			rows, err := agg.DrainChunks(r.Body, func(c agg.Chunk) error {
 				return s.AppendChunk(c, true)
 			})
 			if err != nil {
-				status, msg := chunkIngestStatus(err, nodeStatus)
-				nodeError(w, status, msg)
+				nodeError(w, nodeStatus(err), err.Error())
 				return
 			}
 			nodeJSON(w, map[string]any{"appended": rows})
@@ -122,46 +119,16 @@ func isChunkBody(r *http.Request) bool {
 	return err == nil && mt == agg.ChunkContentType
 }
 
-// ingestChunkStream drains one binary chunk-stream body, handing each
-// decoded chunk to sink (ownership transfers with it), and returns the
-// total rows appended. Chunks already handed off before an error stay
-// applied — the same at-least-once-per-batch semantics the JSON path has
-// per request.
-func ingestChunkStream(body io.Reader, sink func(agg.Chunk) error) (int, error) {
-	br := bufio.NewReaderSize(body, 64<<10)
-	rows := 0
-	for {
-		c, err := agg.ReadChunk(br)
-		if err == io.EOF {
-			return rows, nil
-		}
-		if err != nil {
-			return rows, err
-		}
-		n := c.Rows()
-		if err := sink(c); err != nil {
-			return rows, err
-		}
-		rows += n
-	}
-}
-
-// chunkIngestStatus splits a chunk-ingest failure into its HTTP status:
-// wire-grade errors (malformed chunk, torn frame) are the client's 400;
-// anything else came from the stream and maps via streamStatus.
-func chunkIngestStatus(err error, streamStatus func(error) int) (int, string) {
-	if errors.Is(err, agg.ErrChunkWire) || errors.Is(err, wal.ErrWALCorrupt) {
-		return http.StatusBadRequest, "bad chunk body: " + err.Error()
-	}
-	return streamStatus(err), err.Error()
-}
-
-// nodeStatus maps a stream error to its HTTP status: 503 for conditions
-// the router may retry or route around (closed, degraded), 500 otherwise
-// — the same mapping cmd/aggserve uses, so breakers see one vocabulary.
+// nodeStatus maps an ingest error to its HTTP status: 503 for conditions
+// the router may retry or route around (closed, degraded), 400 for a
+// malformed chunk body (wire-grade errors), 500 otherwise — the same
+// mapping cmd/aggserve uses, so breakers see one vocabulary.
 func nodeStatus(err error) int {
-	if errors.Is(err, stream.ErrClosed) || errors.Is(err, stream.ErrDurability) {
+	switch {
+	case errors.Is(err, stream.ErrClosed), errors.Is(err, stream.ErrDurability):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, agg.ErrChunkWire), errors.Is(err, wal.ErrWALCorrupt):
+		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
 }

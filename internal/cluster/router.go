@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"memagg/internal/agg"
+	"memagg/internal/arena"
 	"memagg/internal/chash"
+	"memagg/internal/hashtbl"
 	"memagg/internal/obs"
 )
 
@@ -393,23 +395,13 @@ func (rt *Router) Gather() (*Merged, error) {
 		rt.m.queryErrs.Inc()
 		return nil, &pae
 	}
-	merged := newMerged(n)
-	for i, set := range sets {
-		merged.Watermark[i] = set.hdr.Watermark
-		if i == 0 {
-			merged.Holistic = set.hdr.Holistic
-		} else {
-			merged.Holistic = merged.Holistic && set.hdr.Holistic
-		}
-		merged.fold(set)
-	}
-	return merged, nil
+	return merge(sets), nil
 }
 
 // peerSet is one peer's decoded partial set.
 type peerSet struct {
-	hdr    setHeader
-	groups map[uint64]*mgroup
+	hdr setHeader
+	tb  agg.Table
 }
 
 // fetchPartials GETs and decodes one peer's /partials stream. Decode
@@ -423,15 +415,15 @@ func (rt *Router) fetchPartials(p *peer) (*peerSet, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	set := &peerSet{groups: make(map[uint64]*mgroup)}
+	// Decode straight into a table: Upsert plus Merge keeps the fold
+	// exact even if a set ever repeated a key.
+	set := &peerSet{tb: agg.Table{T: hashtbl.NewLinearProbe[agg.Partial](1 << 10), Ar: arena.New()}}
 	hdr, err := DecodePartialSet(resp.Body, func(key uint64, pr *agg.Partial, vals []uint64) error {
-		g := set.groups[key]
-		if g == nil {
-			g = &mgroup{}
-			set.groups[key] = g
+		np := set.tb.T.Upsert(key)
+		np.Merge(pr)
+		for _, v := range vals {
+			np.Buffer(set.tb.Ar, v)
 		}
-		g.p.Merge(pr)
-		g.vals = append(g.vals, vals...)
 		return nil
 	})
 	if err != nil {

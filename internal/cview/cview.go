@@ -13,11 +13,13 @@
 // visibility, so windows advance delta by delta, never splitting one.
 //
 // Reads merge the live panes with the exact Partial.Merge and run the
-// registered query over the merged table, so a view's result is identical
-// to the batch query over the rows its window covers (the window-vs-batch
-// equivalence gate in internal/stream asserts reflect.DeepEqual,
-// holistics included). Results are cached per view keyed by a version
-// counter — a read of an unchanged view is a pointer load.
+// registered query over the merged table with the shared agg.Exec
+// kernels — the ones stream snapshots and the cluster gather run — so a
+// view's result is identical to the batch query over the rows its window
+// covers (the window-vs-batch equivalence gate in internal/stream asserts
+// reflect.DeepEqual, holistics included). Results are cached per view
+// keyed by a version counter — a read of an unchanged view is a pointer
+// load.
 //
 // Retention is evaluated when a seal opens a new pane: a sliding window
 // of N panes keeps [p-N+1, p]; a tumbling window keeps the current
@@ -68,7 +70,7 @@ type Spec struct {
 	Name string
 
 	// Query is the standing query evaluated over the window.
-	Query Query
+	Query agg.Query
 
 	// PaneRows is the pane width in watermark rows: pane p covers the
 	// rows whose publication watermark lies in (p*PaneRows, (p+1)*PaneRows].
@@ -98,8 +100,8 @@ func (sp Spec) validate(holistic bool) error {
 	if sp.Panes < 1 || sp.Panes > maxPanes {
 		return fmt.Errorf("%w: Panes must be in [1, %d]", ErrBadSpec, maxPanes)
 	}
-	if err := sp.Query.validate(); err != nil {
-		return err
+	if err := sp.Query.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	if sp.Query.NeedsValues() && !holistic {
 		return fmt.Errorf("%s view %q: %w", sp.Query, sp.Name, agg.ErrUnsupported)
@@ -386,9 +388,8 @@ type View struct {
 // keeps the seal-publication path O(1) per view, and a pane evicted
 // before it is ever read never pays for its folds at all.
 type pane struct {
+	agg.Table
 	idx     uint64
-	t       *hashtbl.LinearProbe[agg.Partial]
-	ar      *arena.Arena
 	rows    uint64
 	lastWM  uint64
 	pending []Fold
@@ -411,7 +412,7 @@ func (p *pane) settle(m *Metrics, withValues bool) {
 	}
 	mk := obs.Start()
 	for _, f := range p.pending {
-		f(p.t, p.ar, withValues)
+		f(p.T, p.Ar, withValues)
 	}
 	if m != nil {
 		if m.Updates != nil {
@@ -507,7 +508,10 @@ func (v *View) open(r *Registry, pIdx uint64) *pane {
 			r.m.PanesEvicted.Add(uint64(drop))
 		}
 	}
-	p := &pane{idx: pIdx, t: hashtbl.NewLinearProbe[agg.Partial](paneTableCap), ar: arena.New()}
+	p := &pane{
+		Table: agg.Table{T: hashtbl.NewLinearProbe[agg.Partial](paneTableCap), Ar: arena.New()},
+		idx:   pIdx,
+	}
 	v.panes = append(v.panes, p)
 	if r.m != nil && r.m.PanesOpened != nil {
 		r.m.PanesOpened.Inc()

@@ -55,44 +55,9 @@ func sortValue(v any) any {
 	return v
 }
 
-func TestParseQuery(t *testing.T) {
-	cases := []struct {
-		in   string
-		want QueryID
-	}{
-		{"q1", QCountByKey}, {"count_by_key", QCountByKey},
-		{"q2", QAvgByKey}, {"avg_by_key", QAvgByKey},
-		{"q3", QMedianByKey}, {"median_by_key", QMedianByKey},
-		{"q4", QCount}, {"count", QCount},
-		{"q5", QAvg}, {"avg", QAvg},
-		{"q6", QMedian}, {"median", QMedian},
-		{"q7", QRange}, {"range", QRange},
-		{"sum", QReduce}, {"min", QReduce}, {"max", QReduce},
-		{"quantile", QQuantile}, {"mode", QMode},
-	}
-	for _, c := range cases {
-		q, err := ParseQuery(c.in, 0.5, 1, 2)
-		if err != nil {
-			t.Fatalf("ParseQuery(%q): %v", c.in, err)
-		}
-		if q.ID != c.want {
-			t.Fatalf("ParseQuery(%q) = %v, want id %v", c.in, q.ID, c.want)
-		}
-	}
-	if _, err := ParseQuery("nope", 0, 0, 0); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("unknown query: got %v, want ErrBadSpec", err)
-	}
-	if _, err := ParseQuery("quantile", 1.5, 0, 0); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("quantile p=1.5: got %v, want ErrBadSpec", err)
-	}
-	if q, _ := ParseQuery("q7", 0, 10, 20); q.Lo != 10 || q.Hi != 20 {
-		t.Fatalf("q7 bounds not carried: %+v", q)
-	}
-}
-
 func TestSpecValidation(t *testing.T) {
 	r := NewRegistry(false, nil)
-	ok := Spec{Name: "v", Query: Query{ID: QCountByKey}, PaneRows: 10, Panes: 2}
+	ok := Spec{Name: "v", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 10, Panes: 2}
 	bad := []Spec{
 		func() Spec { s := ok; s.Name = ""; return s }(),
 		func() Spec { s := ok; s.Name = "a/b"; return s }(),
@@ -100,7 +65,7 @@ func TestSpecValidation(t *testing.T) {
 		func() Spec { s := ok; s.PaneRows = 0; return s }(),
 		func() Spec { s := ok; s.Panes = 0; return s }(),
 		func() Spec { s := ok; s.Panes = maxPanes + 1; return s }(),
-		func() Spec { s := ok; s.Query = Query{ID: QueryID(99)}; return s }(),
+		func() Spec { s := ok; s.Query = agg.Query{ID: agg.QueryID(99)}; return s }(),
 	}
 	for i, sp := range bad {
 		if err := r.Register(sp, 0); !errors.Is(err, ErrBadSpec) {
@@ -109,7 +74,7 @@ func TestSpecValidation(t *testing.T) {
 	}
 	// Holistic query on a distributive registry.
 	hs := ok
-	hs.Query = Query{ID: QQuantile, P: 0.9}
+	hs.Query = agg.Query{ID: agg.QQuantile, P: 0.9}
 	if err := r.Register(hs, 0); !errors.Is(err, agg.ErrUnsupported) {
 		t.Fatalf("holistic on distributive: got %v, want ErrUnsupported", err)
 	}
@@ -157,7 +122,7 @@ func TestRetentionFloor(t *testing.T) {
 
 func TestPaneLifecycleSliding(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "s", Query: Query{ID: QCount}, PaneRows: 100, Panes: 2, Sliding: true}
+	sp := Spec{Name: "s", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +145,7 @@ func TestPaneLifecycleSliding(t *testing.T) {
 		t.Fatalf("PanesLive = %d, want 2", res.PanesLive)
 	}
 	if got := res.Value.(uint64); got != 200 {
-		t.Fatalf("QCount = %d, want 200", got)
+		t.Fatalf("agg.QCount = %d, want 200", got)
 	}
 	info, err := r.Info("s")
 	if err != nil {
@@ -193,7 +158,7 @@ func TestPaneLifecycleSliding(t *testing.T) {
 
 func TestPaneLifecycleTumbling(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "t", Query: Query{ID: QCount}, PaneRows: 100, Panes: 2}
+	sp := Spec{Name: "t", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +191,7 @@ func TestPaneLifecycleTumbling(t *testing.T) {
 // are the atomic visibility unit, windows advance delta by delta.
 func TestSealSpansPanes(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "x", Query: Query{ID: QCount}, PaneRows: 100, Panes: 4, Sliding: true}
+	sp := Spec{Name: "x", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 4, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +212,7 @@ func TestSealSpansPanes(t *testing.T) {
 
 func TestRegistrationBarrier(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "late", Query: Query{ID: QCount}, PaneRows: 100, Panes: 8, Sliding: true}
+	sp := Spec{Name: "late", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 8, Sliding: true}
 	// Registered at watermark 200: the first two seals are history.
 	if err := r.Register(sp, 200); err != nil {
 		t.Fatal(err)
@@ -270,7 +235,7 @@ func TestRegistrationBarrier(t *testing.T) {
 
 func TestGapTruncation(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "g", Query: Query{ID: QCount}, PaneRows: 100, Panes: 2, Sliding: true}
+	sp := Spec{Name: "g", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +266,7 @@ func TestGapTruncation(t *testing.T) {
 func TestResultCacheVersioning(t *testing.T) {
 	m := &Metrics{}
 	r := NewRegistry(false, m)
-	sp := Spec{Name: "c", Query: Query{ID: QCountByKey}, PaneRows: 1000, Panes: 1}
+	sp := Spec{Name: "c", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 1000, Panes: 1}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -331,9 +296,9 @@ func TestResultCacheVersioning(t *testing.T) {
 func TestPersistRoundTrip(t *testing.T) {
 	r := NewRegistry(true, nil)
 	specs := []Spec{
-		{Name: "counts", Query: Query{ID: QCountByKey}, PaneRows: 100, Panes: 3, Sliding: true},
-		{Name: "p90", Query: Query{ID: QQuantile, P: 0.9}, PaneRows: 100, Panes: 2},
-		{Name: "sums", Query: Query{ID: QReduce, Op: agg.OpSum}, PaneRows: 250, Panes: 2, Sliding: true},
+		{Name: "counts", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 100, Panes: 3, Sliding: true},
+		{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 100, Panes: 2},
+		{Name: "sums", Query: agg.Query{ID: agg.QReduce, Op: agg.OpSum}, PaneRows: 250, Panes: 2, Sliding: true},
 	}
 	for _, sp := range specs {
 		if err := r.Register(sp, 0); err != nil {
@@ -406,5 +371,46 @@ func TestPersistRoundTrip(t *testing.T) {
 	// Nothing persisted at all.
 	if saved, err := Load(wal.NewMemFS(), "cv"); err != nil || saved != nil {
 		t.Fatalf("empty dir: got %v, %v", saved, err)
+	}
+}
+
+// TestDefsQueryIDGolden pins the on-disk query_id contract: a DEFS
+// payload written with the persisted numbering (1 = q1 … 10 = mode, op,
+// p and lo/hi as stored) must decode to the queries the same spellings
+// parse to today. Renumbering agg.QueryID breaks every saved view.
+func TestDefsQueryIDGolden(t *testing.T) {
+	const defs = `{"views":[` +
+		`{"name":"q1","query_id":1,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"q2","query_id":2,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"q3","query_id":3,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"q4","query_id":4,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"q5","query_id":5,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"q6","query_id":6,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"q7","query_id":7,"lo":10,"hi":20,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"min","query_id":8,"op":2,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"quantile","query_id":9,"p":0.9,"pane_rows":10,"panes":2,"start_wm":0},` +
+		`{"name":"mode","query_id":10,"pane_rows":10,"panes":2,"sliding":true,"start_wm":7}]}`
+	fs := wal.NewMemFS()
+	if err := writeAtomic(fs, "cv", defsName, wal.AppendFrame(nil, []byte(defs))); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := Load(fs, "cv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved) != 10 {
+		t.Fatalf("Load returned %d views, want 10", len(saved))
+	}
+	for _, sv := range saved {
+		want, err := agg.ParseQuery(sv.Spec.Name, 0.9, 10, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.Spec.Query != want {
+			t.Errorf("view %s: decoded %+v, want %+v", sv.Spec.Name, sv.Spec.Query, want)
+		}
+	}
+	if last := saved[9]; last.StartWM != 7 || !last.Spec.Sliding || last.Spec.PaneRows != 10 {
+		t.Errorf("mode view decoded as %+v", last)
 	}
 }

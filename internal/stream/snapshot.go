@@ -3,9 +3,6 @@ package stream
 import (
 	"memagg/internal/agg"
 	"memagg/internal/arena"
-	"memagg/internal/morsel"
-	"memagg/internal/obs"
-	"memagg/internal/xsort"
 )
 
 // Snapshot is a consistent, immutable read view of the stream: the base
@@ -23,12 +20,12 @@ import (
 // A Snapshot is safe for concurrent use. Query state is shared at the
 // view level, not the snapshot level: the first query over a view that
 // pins unmerged deltas folds them partition-wise into key-disjoint
-// sources (in parallel at Config.QueryWorkers), vector kernels scan those
-// partitions in parallel above a serial group-count cutoff, and on a
-// cache-enabled stream materialized results are memoized on the view —
-// keyed by query id and parameters, single-flight — so every snapshot of
-// an unchanged view shares both the fold and the results. Cached vector
-// results are shared slices; treat them as read-only.
+// sources (in parallel at Config.QueryWorkers), the shared agg.Exec
+// kernels scan those partitions in parallel above a serial group-count
+// cutoff, and on a cache-enabled stream materialized results are memoized
+// on the view — keyed by the agg.Query itself, single-flight — so every
+// snapshot of an unchanged view shares both the fold and the results.
+// Cached vector results are shared slices; treat them as read-only.
 type Snapshot struct {
 	s *Stream
 	v *view
@@ -54,64 +51,43 @@ var serialQueryCutoff = 1 << 13
 // sources returns key-disjoint tables jointly holding every group,
 // folding the view's sealed deltas partition-wise on first use (see
 // view.sources). Entries with a nil table hold no groups.
-func (sn *Snapshot) sources() []table { return sn.v.sources(sn.s) }
+func (sn *Snapshot) sources() []agg.Table { return sn.v.sources(sn.s) }
 
-// partOffsets returns each source's exclusive start offset in a result
-// slice laid out partition by partition, plus the total group count.
-// Writing through these offsets lets parallel kernels fill one pre-sized
-// result with no per-worker buffers or concat — and makes the output
-// deterministic: partition order, table iteration order within each.
-func partOffsets(srcs []table) (offs []int, total int) {
-	offs = make([]int, len(srcs))
-	for q, tb := range srcs {
-		offs[q] = total
-		if tb.t != nil {
-			total += tb.t.Len()
-		}
-	}
-	return offs, total
-}
-
-// queryWorkers returns the parallelism for a scan over total groups:
-// the configured query workers, or 1 below the serial cutoff
-// (Config.QuerySerialCutoff when set, the measured default otherwise).
-func (sn *Snapshot) queryWorkers(total int) int {
+// exec returns the kernel configuration for this stream: the configured
+// query workers above the serial cutoff (Config.QuerySerialCutoff when
+// set, the measured default otherwise), with the scan and merge phases
+// recorded in the stream's query histograms.
+func (sn *Snapshot) exec() agg.Exec {
 	cutoff := sn.s.cfg.QuerySerialCutoff
 	if cutoff == 0 {
 		cutoff = serialQueryCutoff
 	}
-	if cutoff > 0 && total < cutoff {
-		return 1
+	return agg.Exec{
+		Workers: sn.s.cfg.QueryWorkers,
+		Cutoff:  cutoff,
+		Scan:    sn.s.m.queryScanLat,
+		Merge:   sn.s.m.queryMergeLat,
 	}
-	return sn.s.cfg.QueryWorkers
 }
 
-// scan runs body over every non-empty source partition, in parallel when
-// the snapshot is past the serial cutoff, and records the scan phase.
-func (sn *Snapshot) scan(srcs []table, total int, body func(worker, q int)) {
-	mk := obs.Start()
-	morsel.Parts(len(srcs), sn.queryWorkers(total), func(w, q int) {
-		if srcs[q].t != nil {
-			body(w, q)
-		}
-	})
-	mk.Tick(sn.s.m.queryScanLat)
-}
-
-// eachGroup visits every group exactly once with its fully merged partial
-// and the arena its buffered values live in — the serial walk behind the
-// scalar kernels' fallbacks and any caller that needs no parallelism.
-func (sn *Snapshot) eachGroup(fn func(k uint64, p *agg.Partial, ar *arena.Arena)) {
-	for _, tb := range sn.sources() {
-		if tb.t == nil {
-			continue
-		}
-		ar := tb.ar
-		tb.t.Iterate(func(k uint64, p *agg.Partial) bool {
-			fn(k, p, ar)
-			return true
-		})
+// Run executes one query of the shared vocabulary over the snapshot and
+// returns its result in the agg row types (see agg.Exec.Run). Invalid
+// queries fail with agg.ErrBadQuery, holistic ones on a distributive
+// stream with agg.ErrUnsupported. Q4 is the watermark itself; every other
+// result goes through the view's result cache.
+func (sn *Snapshot) Run(q agg.Query) (any, error) {
+	if err := q.Check(sn.s.cfg.Holistic); err != nil {
+		return nil, err
 	}
+	if q.ID == agg.QCount {
+		return sn.v.watermark, nil
+	}
+	compute := func() any { return sn.exec().Run(q, sn.sources(), sn.v.watermark) }
+	c := sn.v.cache
+	if c == nil {
+		return compute(), nil
+	}
+	return c.do(sn.s.m, q, compute), nil
 }
 
 // EachGroup visits every group exactly once with its fully merged partial
@@ -119,7 +95,16 @@ func (sn *Snapshot) eachGroup(fn func(k uint64, p *agg.Partial, ar *arena.Arena)
 // transport (internal/cluster) serializes from. The visited partials are
 // the snapshot's live state: read-only, valid while the snapshot is held.
 func (sn *Snapshot) EachGroup(fn func(k uint64, p *agg.Partial, ar *arena.Arena)) {
-	sn.eachGroup(fn)
+	for _, tb := range sn.sources() {
+		if tb.T == nil {
+			continue
+		}
+		ar := tb.Ar
+		tb.T.Iterate(func(k uint64, p *agg.Partial) bool {
+			fn(k, p, ar)
+			return true
+		})
+	}
 }
 
 // HolisticEnabled reports whether this snapshot's stream retains value
@@ -131,7 +116,10 @@ func (sn *Snapshot) HolisticEnabled() bool { return sn.s.cfg.Holistic }
 // pinned (keys may repeat across layers); for pre-sizing, GroupBound is
 // free.
 func (sn *Snapshot) Groups() int {
-	_, total := partOffsets(sn.sources())
+	total := 0
+	for _, tb := range sn.sources() {
+		total += tb.Len()
+	}
 	return total
 }
 
@@ -142,61 +130,24 @@ func (sn *Snapshot) GroupBound() int { return sn.v.groupBound }
 
 // CountByKey executes Q1: one (key, COUNT(*)) row per distinct key.
 func (sn *Snapshot) CountByKey() []agg.GroupCount {
-	return cached(sn, qkey{id: qidQ1}, sn.countByKey)
-}
-
-func (sn *Snapshot) countByKey() []agg.GroupCount {
-	srcs := sn.sources()
-	offs, total := partOffsets(srcs)
-	out := make([]agg.GroupCount, total)
-	sn.scan(srcs, total, func(_, q int) {
-		i := offs[q]
-		srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-			out[i] = agg.GroupCount{Key: k, Count: p.Count()}
-			i++
-			return true
-		})
-	})
-	return out
+	rows, _ := agg.As[[]agg.GroupCount](sn.Run, agg.Query{ID: agg.QCountByKey})
+	return rows
 }
 
 // AvgByKey executes Q2: one (key, AVG(val)) row per distinct key, computed
 // as one float64 division of the exact integer sum — bit-identical to the
 // batch engines.
 func (sn *Snapshot) AvgByKey() []agg.GroupFloat {
-	return cached(sn, qkey{id: qidQ2}, func() []agg.GroupFloat {
-		srcs := sn.sources()
-		offs, total := partOffsets(srcs)
-		out := make([]agg.GroupFloat, total)
-		sn.scan(srcs, total, func(_, q int) {
-			i := offs[q]
-			srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-				out[i] = agg.GroupFloat{Key: k, Val: p.Avg()}
-				i++
-				return true
-			})
-		})
-		return out
-	})
+	rows, _ := agg.As[[]agg.GroupFloat](sn.Run, agg.Query{ID: agg.QAvgByKey})
+	return rows
 }
 
 // Reduce executes the generalized distributive vector query: one
-// (key, op(val)) row per distinct key, for any ReduceOp.
+// (key, op(val)) row per distinct key, for any ReduceOp. An op outside
+// the ReduceOp set returns nil.
 func (sn *Snapshot) Reduce(op agg.ReduceOp) []agg.GroupUint {
-	return cached(sn, qkey{id: qidReduce, op: op}, func() []agg.GroupUint {
-		srcs := sn.sources()
-		offs, total := partOffsets(srcs)
-		out := make([]agg.GroupUint, total)
-		sn.scan(srcs, total, func(_, q int) {
-			i := offs[q]
-			srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-				out[i] = agg.GroupUint{Key: k, Val: p.Reduce(op)}
-				i++
-				return true
-			})
-		})
-		return out
-	})
+	rows, _ := agg.As[[]agg.GroupUint](sn.Run, agg.Query{ID: agg.QReduce, Op: op})
+	return rows
 }
 
 // Holistic executes the generalized holistic vector query: one
@@ -208,215 +159,50 @@ func (sn *Snapshot) Holistic(fn agg.HolisticFunc) ([]agg.GroupFloat, error) {
 	if !sn.s.cfg.Holistic {
 		return nil, agg.ErrUnsupported
 	}
-	return sn.holistic(fn), nil
-}
-
-func (sn *Snapshot) holistic(fn agg.HolisticFunc) []agg.GroupFloat {
-	srcs := sn.sources()
-	offs, total := partOffsets(srcs)
-	out := make([]agg.GroupFloat, total)
-	workers := sn.queryWorkers(total)
-	scratch := make([][]uint64, workers)
-	mk := obs.Start()
-	morsel.Parts(len(srcs), workers, func(w, q int) {
-		if srcs[q].t == nil {
-			return
-		}
-		i, ar, buf := offs[q], srcs[q].ar, scratch[w]
-		srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-			buf = p.AppendValues(ar, buf[:0])
-			out[i] = agg.GroupFloat{Key: k, Val: fn(buf)}
-			i++
-			return true
-		})
-		scratch[w] = buf
-	})
-	mk.Tick(sn.s.m.queryScanLat)
-	return out
-}
-
-// cachedHolistic routes one named holistic query through the result cache
-// after the shared Holistic support check.
-func (sn *Snapshot) cachedHolistic(k qkey, fn agg.HolisticFunc) ([]agg.GroupFloat, error) {
-	if !sn.s.cfg.Holistic {
-		return nil, agg.ErrUnsupported
-	}
-	return cached(sn, k, func() []agg.GroupFloat { return sn.holistic(fn) }), nil
+	return sn.exec().Holistic(sn.sources(), fn), nil
 }
 
 // MedianByKey executes Q3 (holistic): one (key, MEDIAN(val)) row per
 // distinct key. Requires Config.Holistic.
 func (sn *Snapshot) MedianByKey() ([]agg.GroupFloat, error) {
-	return sn.cachedHolistic(qkey{id: qidQ3}, agg.MedianFunc)
+	return agg.As[[]agg.GroupFloat](sn.Run, agg.Query{ID: agg.QMedianByKey})
 }
 
 // QuantileByKey executes the nearest-rank q-quantile per distinct key.
-// Requires Config.Holistic.
+// Requires Config.Holistic; q outside [0, 1] (or NaN) is agg.ErrBadQuery.
 func (sn *Snapshot) QuantileByKey(q float64) ([]agg.GroupFloat, error) {
-	return sn.cachedHolistic(qkey{id: qidQuantile, f: q}, agg.QuantileFunc(q))
+	return agg.As[[]agg.GroupFloat](sn.Run, agg.Query{ID: agg.QQuantile, P: q})
 }
 
 // ModeByKey executes the most-frequent-value query per distinct key.
 // Requires Config.Holistic.
 func (sn *Snapshot) ModeByKey() ([]agg.GroupFloat, error) {
-	return sn.cachedHolistic(qkey{id: qidMode}, agg.ModeFunc)
+	return agg.As[[]agg.GroupFloat](sn.Run, agg.Query{ID: agg.QMode})
 }
 
 // Count executes Q4: COUNT(*) over the snapshot — the watermark itself.
 func (sn *Snapshot) Count() uint64 { return sn.v.watermark }
 
 // Avg executes Q5: AVG over the value column, as one float64 division of
-// the exact total sum by the exact row count. Per-partition integer
-// partial sums merge exactly, so the parallel result is bit-identical to
-// the serial one.
+// the exact total sum by the exact row count — bit-identical at any
+// worker count.
 func (sn *Snapshot) Avg() float64 {
-	return cached(sn, qkey{id: qidQ5}, func() float64 {
-		srcs := sn.sources()
-		_, total := partOffsets(srcs)
-		workers := sn.queryWorkers(total)
-		// One cache line per worker: the partial sums are written in the
-		// scan's hot loop.
-		type sumCount struct {
-			sum, count uint64
-			_          [6]uint64
-		}
-		parts := make([]sumCount, workers)
-		sn.scan(srcs, total, func(w, q int) {
-			sum, count := parts[w].sum, parts[w].count
-			srcs[q].t.Iterate(func(_ uint64, p *agg.Partial) bool {
-				sum += p.Sum()
-				count += p.Count()
-				return true
-			})
-			parts[w].sum, parts[w].count = sum, count
-		})
-		mk := obs.Start()
-		var sum, count uint64
-		for _, pc := range parts {
-			sum += pc.sum
-			count += pc.count
-		}
-		mk.Tick(sn.s.m.queryMergeLat)
-		if count == 0 {
-			return 0
-		}
-		return float64(sum) / float64(count)
-	})
+	avg, _ := agg.As[float64](sn.Run, agg.Query{ID: agg.QAvg})
+	return avg
 }
 
 // Median executes Q6: MEDIAN over the key column. Unlike the batch hash
 // engines — which cannot enumerate keys in order and return ErrUnsupported
-// — the snapshot's per-group counts make the scalar median exact: gather
-// the (key, count) pairs partition-parallel, sort them by key through
-// internal/xsort, and walk cumulative counts to the middle rank(s).
+// — the snapshot's per-group counts make the scalar median exact. The
+// error is always nil.
 func (sn *Snapshot) Median() (float64, error) {
-	return cached(sn, qkey{id: qidQ6}, func() float64 {
-		srcs := sn.sources()
-		offs, total := partOffsets(srcs)
-		groups := make([]xsort.KV, total)
-		var n uint64
-		workers := sn.queryWorkers(total)
-		counts := make([]uint64, workers*8) // one cache line per worker
-		sn.scan(srcs, total, func(w, q int) {
-			i, rows := offs[q], counts[w*8]
-			srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-				c := p.Count()
-				groups[i] = xsort.KV{K: k, V: c}
-				rows += c
-				i++
-				return true
-			})
-			counts[w*8] = rows
-		})
-		for w := 0; w < workers; w++ {
-			n += counts[w*8]
-		}
-		if n == 0 {
-			return 0
-		}
-		mk := obs.Start()
-		sortKV(groups, workers)
-		m := float64(keyAtRank(groups, n/2))
-		if n%2 == 0 {
-			m = (float64(keyAtRank(groups, n/2-1)) + m) / 2
-		}
-		mk.Tick(sn.s.m.queryMergeLat)
-		return m
-	}), nil
-}
-
-// sortKV orders records ascending by key via internal/xsort: the parallel
-// block-introsort merge when both the input and the worker budget warrant
-// it, serial introsort otherwise (the Fig2/Fig10-measured routing).
-func sortKV(a []xsort.KV, workers int) {
-	if workers > 1 && len(a) >= serialQueryCutoff {
-		xsort.SortBIKV(a, workers)
-		return
-	}
-	xsort.IntrosortKV(a)
-}
-
-// keyAtRank returns the key at 0-based rank r of the expansion of the
-// key-sorted (key, count) runs.
-func keyAtRank(groups []xsort.KV, r uint64) uint64 {
-	var cum uint64
-	for _, g := range groups {
-		cum += g.V
-		if r < cum {
-			return g.K
-		}
-	}
-	return groups[len(groups)-1].K
+	return agg.As[float64](sn.Run, agg.Query{ID: agg.QMedian})
 }
 
 // CountRange executes Q7: Q1 restricted to lo <= key <= hi, rows ascending
 // by key (the tree-engine convention — a range query is inherently
-// ordered). Matching rows collect into per-worker buffers pre-sized by the
-// group bound and the range's width, then one xsort pass orders the
-// concatenation (hash partitions interleave key ranges, so a global sort
-// is needed regardless). The error is always nil; the signature matches
-// the batch engines'.
+// ordered). The error is always nil; the signature matches the batch
+// engines'.
 func (sn *Snapshot) CountRange(lo, hi uint64) ([]agg.GroupCount, error) {
-	return cached(sn, qkey{id: qidQ7, lo: lo, hi: hi}, func() []agg.GroupCount {
-		srcs := sn.sources()
-		_, total := partOffsets(srcs)
-		workers := sn.queryWorkers(total)
-		// Selectivity guess: no more groups can match than the bound says
-		// exist, and no more than the range has distinct keys (width 0
-		// means the full uint64 domain).
-		hint := sn.GroupBound()
-		if width := hi - lo + 1; width != 0 && width < uint64(hint) {
-			hint = int(width)
-		}
-		bufs := make([][]xsort.KV, workers)
-		sn.scan(srcs, total, func(w, q int) {
-			buf := bufs[w]
-			if buf == nil {
-				buf = make([]xsort.KV, 0, hint/workers+1)
-			}
-			srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-				if lo <= k && k <= hi {
-					buf = append(buf, xsort.KV{K: k, V: p.Count()})
-				}
-				return true
-			})
-			bufs[w] = buf
-		})
-		mk := obs.Start()
-		n := 0
-		for _, b := range bufs {
-			n += len(b)
-		}
-		rows := make([]xsort.KV, 0, n)
-		for _, b := range bufs {
-			rows = append(rows, b...)
-		}
-		sortKV(rows, workers)
-		out := make([]agg.GroupCount, len(rows))
-		for i, r := range rows {
-			out[i] = agg.GroupCount{Key: r.K, Count: r.V}
-		}
-		mk.Tick(sn.s.m.queryMergeLat)
-		return out
-	}), nil
+	return agg.As[[]agg.GroupCount](sn.Run, agg.Query{ID: agg.QRange, Lo: lo, Hi: hi})
 }

@@ -233,7 +233,7 @@ type view struct {
 	// eagerly); otherwise the first query folds base + deltas partition by
 	// partition (see foldParts).
 	fold sync.Once
-	srcs []table
+	srcs []agg.Table
 
 	// cache is the watermark-keyed result cache (nil when disabled).
 	cache *queryCache
@@ -248,7 +248,7 @@ func (s *Stream) newView(base *generation, sealed []*delta, watermark uint64) *v
 		v.groupBound = base.groups
 	}
 	for _, d := range sealed {
-		v.groupBound += d.t.Len()
+		v.groupBound += d.T.Len()
 	}
 	if n := s.cfg.QueryCacheEntries; n > 0 {
 		v.cache = newQueryCache(n)

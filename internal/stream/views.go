@@ -73,7 +73,7 @@ func (s *Stream) ViewResult(name string) (*cview.Result, error) { return s.views
 // folds share one table scan and one hash pass no matter how many views
 // settle this seal.
 func (s *Stream) foldViews(prevWM, endWM uint64, d *delta) {
-	dig := &sealDigest{src: d.table}
+	dig := &sealDigest{src: d.Table}
 	s.views.OnSeal(prevWM, endWM, d.rows, dig.fold)
 }
 
@@ -87,17 +87,17 @@ func (s *Stream) foldViews(prevWM, endWM uint64, d *delta) {
 // partial refs stay valid for the digest's whole life.
 type sealDigest struct {
 	once sync.Once
-	src  table
+	src  agg.Table
 	keys []uint64
 	hs   []uint64
 	ps   []*agg.Partial
 }
 
 func (g *sealDigest) materialize() {
-	n := g.src.t.Len()
+	n := g.src.T.Len()
 	g.keys = make([]uint64, 0, n)
 	g.ps = make([]*agg.Partial, 0, n)
-	g.src.t.Iterate(func(k uint64, p *agg.Partial) bool {
+	g.src.T.Iterate(func(k uint64, p *agg.Partial) bool {
 		g.keys = append(g.keys, k)
 		g.ps = append(g.ps, p)
 		return true
@@ -120,7 +120,7 @@ func (g *sealDigest) fold(t *hashtbl.LinearProbe[agg.Partial], ar *arena.Arena, 
 		np := t.UpsertH(k, g.hs[i])
 		np.Merge(g.ps[i])
 		if withValues {
-			np.MergeValues(ar, g.ps[i], g.src.ar)
+			np.MergeValues(ar, g.ps[i], g.src.Ar)
 		}
 	}
 }

@@ -276,6 +276,22 @@ func convertRows[I, O any](rows []I, conv func(I) O) []O {
 	return out
 }
 
+// PublicResult converts a query result in the internal row types — what
+// the shared Q1–Q7 kernels return, e.g. over a cluster gather — to the
+// public ones: []GroupCount, []GroupValue, []GroupStat, never nil.
+// Scalars pass through unchanged.
+func PublicResult(v any) any {
+	switch rows := v.(type) {
+	case []agg.GroupCount:
+		return toCounts(rows)
+	case []agg.GroupFloat:
+		return toValues(rows)
+	case []agg.GroupUint:
+		return toStats(rows)
+	}
+	return v
+}
+
 func toStats(rows []agg.GroupUint) []GroupStat {
 	return convertRows(rows, func(r agg.GroupUint) GroupStat {
 		return GroupStat{Key: r.Key, Value: r.Val}

@@ -114,3 +114,14 @@ go test -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate' -count
 # keeps the seal path O(1) per view (the -exp cview sweep records what
 # reads cost; this pins what ingest pays).
 MEMAGG_CVIEW_GUARD=1 go test -run 'TestCViewOverheadGuard' -count=1 -v ./internal/stream
+
+# One query model (agg.Query, DESIGN.md §1.2m): the parse/validate table,
+# the on-disk query_id contract of view definitions, the facade's typed
+# bad-quantile error, and the node-vs-router parity table — its NaN
+# quantile case (which used to panic a node's query goroutine) and its
+# empty-range q7 case (router null vs node []) are pinned by name so a
+# rename can't silently drop them.
+go test -race -run 'TestParseQuery|TestQueryCheck' -count=1 -v ./internal/agg
+go test -race -run 'TestDefsQueryIDGolden' -count=1 -v ./internal/cview
+go test -race -run 'TestStreamSnapshotBadQuantile' -count=1 -v .
+go test -race -run 'TestQueryNodeRouterParity/^(quantile_nan|quantile_above_1|quantile_negative|q7_empty)$' -count=1 -v ./cmd/aggserve

@@ -394,6 +394,33 @@ func (sn *StreamSnapshot) EncodePartials(dst []byte) []byte {
 	return cluster.EncodeSnapshot(dst, sn.sn)
 }
 
+// Query is one query of the vocabulary every reader of merged partial
+// state answers — stream snapshots, continuous views and the cluster
+// router: Q1–Q7 plus sum/min/max, quantile and mode. Build one with
+// ParseQuery.
+type Query = agg.Query
+
+// ParseQuery resolves a query by its /v1/query spelling — q1..q7 (or
+// count_by_key, avg_by_key, median_by_key, count, avg, median, range with
+// lo/hi), sum, min, max, quantile (with p in [0, 1]), mode. Errors wrap
+// ErrBadQuery.
+func ParseQuery(name string, p float64, lo, hi uint64) (Query, error) {
+	return agg.ParseQuery(name, p, lo, hi)
+}
+
+// Run executes q over the snapshot. The result has the same type the
+// matching typed method returns: []GroupCount (q1, q7), []GroupValue
+// (q2, q3, quantile, mode), []GroupStat (sum/min/max), uint64 (q4) or
+// float64 (q5, q6). Holistic queries on a distributive stream fail with
+// ErrUnsupportedQuery.
+func (sn *StreamSnapshot) Run(q Query) (any, error) {
+	v, err := sn.sn.Run(q)
+	if err != nil {
+		return nil, err
+	}
+	return PublicResult(v), nil
+}
+
 // CountByKey executes Q1: one (key, COUNT(*)) row per distinct key.
 func (sn *StreamSnapshot) CountByKey() []GroupCount { return toCounts(sn.sn.CountByKey()) }
 
@@ -404,31 +431,20 @@ func (sn *StreamSnapshot) AvgByKey() []GroupValue { return toValues(sn.sn.AvgByK
 // distinct key. Requires a holistic stream (StreamOptions.Holistic or a
 // holistic workload); otherwise ErrUnsupported.
 func (sn *StreamSnapshot) MedianByKey() ([]GroupValue, error) {
-	rows, err := sn.sn.MedianByKey()
-	if err != nil {
-		return nil, err
-	}
-	return toValues(rows), nil
+	return agg.As[[]GroupValue](sn.Run, agg.Query{ID: agg.QMedianByKey})
 }
 
 // QuantileByKey returns one (key, q-quantile of values) row per distinct
-// key by the nearest-rank method. Holistic streams only.
+// key by the nearest-rank method. Holistic streams only; q outside
+// [0, 1] (NaN included) fails with ErrBadQuery.
 func (sn *StreamSnapshot) QuantileByKey(q float64) ([]GroupValue, error) {
-	rows, err := sn.sn.QuantileByKey(q)
-	if err != nil {
-		return nil, err
-	}
-	return toValues(rows), nil
+	return agg.As[[]GroupValue](sn.Run, agg.Query{ID: agg.QQuantile, P: q})
 }
 
 // ModeByKey returns one (key, most frequent value) row per distinct key.
 // Holistic streams only.
 func (sn *StreamSnapshot) ModeByKey() ([]GroupValue, error) {
-	rows, err := sn.sn.ModeByKey()
-	if err != nil {
-		return nil, err
-	}
-	return toValues(rows), nil
+	return agg.As[[]GroupValue](sn.Run, agg.Query{ID: agg.QMode})
 }
 
 // Count executes Q4: COUNT(*) over the snapshot — its watermark.
@@ -445,11 +461,7 @@ func (sn *StreamSnapshot) Median() (float64, error) { return sn.sn.Median() }
 // CountRange executes Q7: Q1 restricted to lo <= key <= hi, rows
 // ascending by key.
 func (sn *StreamSnapshot) CountRange(lo, hi uint64) ([]GroupCount, error) {
-	rows, err := sn.sn.CountRange(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return toCounts(rows), nil
+	return agg.As[[]GroupCount](sn.Run, agg.Query{ID: agg.QRange, Lo: lo, Hi: hi})
 }
 
 // SumByKey returns one (key, SUM(values)) row per distinct key.

@@ -1,6 +1,9 @@
 package memagg
 
 import (
+	"errors"
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -177,4 +180,49 @@ func checkValues(t *testing.T, label string, got, want []GroupValue) {
 
 func sortStats(rows []GroupStat) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
+}
+
+// TestStreamSnapshotBadQuantile: a quantile p outside [0, 1] — NaN
+// included, which used to index the value selection out of range — is
+// the typed ErrBadQuery, on the typed method and through Run alike, and
+// never reaches the result cache.
+func TestStreamSnapshotBadQuantile(t *testing.T) {
+	s := NewStream(StreamOptions{Shards: 1, SealRows: 4, Holistic: true})
+	defer s.Close()
+	if err := s.Append([]uint64{1, 2, 1, 3}, []uint64{10, 20, 30, 40}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Snapshot()
+	q, err := ParseQuery("quantile", 0.5, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{math.NaN(), 1.5, -3, math.Inf(-1)} {
+		if rows, err := sn.QuantileByKey(p); !errors.Is(err, ErrBadQuery) || rows != nil {
+			t.Errorf("QuantileByKey(%v) = %v, %v; want ErrBadQuery", p, rows, err)
+		}
+		if _, err := ParseQuery("quantile", p, 0, 0); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("ParseQuery(quantile, %v) = %v; want ErrBadQuery", p, err)
+		}
+		bad := q
+		bad.P = p
+		if _, err := sn.Run(bad); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("Run(quantile %v) = %v; want ErrBadQuery", p, err)
+		}
+	}
+	// A valid p still answers, and Run agrees with the typed method.
+	got, err := sn.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sn.QuantileByKey(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run(quantile 0.5) = %v, QuantileByKey = %v", got, want)
+	}
 }

@@ -1,6 +1,8 @@
 package memagg
 
 import (
+	"fmt"
+
 	"memagg/internal/agg"
 	"memagg/internal/cview"
 )
@@ -99,9 +101,9 @@ type ViewResult struct {
 // checkpoints and Close, with the WAL suffix replayed through the same
 // fold path on restart.
 func (s *Stream) RegisterView(v ViewSpec) error {
-	q, err := cview.ParseQuery(v.Query, v.P, v.Lo, v.Hi)
+	q, err := agg.ParseQuery(v.Query, v.P, v.Lo, v.Hi)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrBadView, err)
 	}
 	return s.s.RegisterView(cview.Spec{
 		Name:     v.Name,
@@ -174,15 +176,6 @@ func toViewResult(res *cview.Result) *ViewResult {
 		Version:     res.Version,
 		Truncated:   res.Truncated,
 	}
-	switch v := res.Value.(type) {
-	case []agg.GroupCount:
-		out.Value = toCounts(v)
-	case []agg.GroupFloat:
-		out.Value = toValues(v)
-	case []agg.GroupUint:
-		out.Value = toStats(v)
-	default:
-		out.Value = res.Value // uint64 (q4) or float64 (q5, q6)
-	}
+	out.Value = PublicResult(res.Value)
 	return out
 }
