@@ -53,7 +53,7 @@ func (srv *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"appended": rows, "ingested": srv.stream.Stats().Ingested})
+		writeJSON(w, map[string]any{"appended": rows, "ingested": srv.stream.Ingested()})
 		return
 	}
 	var req ingestRequest
@@ -72,7 +72,7 @@ func (srv *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"appended": n, "ingested": srv.stream.Stats().Ingested})
+	writeJSON(w, map[string]any{"appended": n, "ingested": srv.stream.Ingested()})
 }
 
 // isChunkRequest reports whether the request negotiated the binary chunk
@@ -91,7 +91,7 @@ func (srv *server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"watermark": srv.stream.Stats().Watermark})
+	writeJSON(w, map[string]any{"watermark": srv.stream.Watermark()})
 }
 
 func (srv *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -131,7 +131,7 @@ func (srv *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, reason)
 		return
 	}
-	writeJSON(w, map[string]any{"ready": true, "watermark": srv.stream.Stats().Watermark})
+	writeJSON(w, map[string]any{"ready": true, "watermark": srv.stream.Watermark()})
 }
 
 // queryResponse tags every result with the snapshot watermark it is

@@ -101,7 +101,7 @@ func NodeHandler(s *stream.Stream) http.Handler {
 			nodeError(w, http.StatusServiceUnavailable, "stream closed")
 			return
 		}
-		if st := s.Stats(); st.ReadOnly {
+		if s.ReadOnly() {
 			nodeError(w, http.StatusServiceUnavailable, "durability degraded, read-only")
 			return
 		}

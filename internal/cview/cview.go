@@ -215,10 +215,21 @@ func (r *Registry) OnSeal(prevWM, endWM, rows uint64, fold Fold) {
 	if !r.Active() {
 		return
 	}
+	var full []*View
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	for _, v := range r.views {
-		v.absorb(r, prevWM, endWM, rows, fold)
+		if v.absorb(r, prevWM, endWM, rows, fold) {
+			full = append(full, v)
+		}
+	}
+	r.mu.RUnlock()
+	// A pane at the pending cap settles here, once absorb has released the
+	// ring lock: this is the one place the seal path waits on the table
+	// lock, and so on a read or pane snapshot in progress.
+	for _, v := range full {
+		v.tmu.Lock()
+		v.settle(r.m)
+		v.tmu.Unlock()
 	}
 }
 
@@ -346,25 +357,55 @@ func (r *Registry) Result(name string) (*Result, error) {
 	if r.m != nil && r.m.Reads != nil {
 		r.m.Reads.Inc()
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.cached != nil {
-		if r.m != nil && r.m.ReadsCached != nil {
-			r.m.ReadsCached.Inc()
-		}
-		return v.cached, nil
+	if res := v.cachedResult(r.m); res != nil {
+		return res, nil
 	}
-	res := v.compute(r.m)
-	v.cached = res
+	v.tmu.Lock()
+	defer v.tmu.Unlock()
+	// A reader that computed while this one waited for the table lock may
+	// have filled the cache already.
+	if res := v.cachedResult(r.m); res != nil {
+		return res, nil
+	}
+	res := v.compute(v.settle(r.m))
+	v.mu.Lock()
+	if v.ver == res.Version {
+		v.cached = res // no seal landed since settle: res is current
+	}
+	v.mu.Unlock()
 	return res, nil
+}
+
+// cachedResult returns the version-cached result, or nil when a seal or
+// eviction invalidated it.
+func (v *View) cachedResult(m *Metrics) *Result {
+	v.mu.Lock()
+	res := v.cached
+	v.mu.Unlock()
+	if res != nil && m != nil && m.ReadsCached != nil {
+		m.ReadsCached.Inc()
+	}
+	return res
 }
 
 // View is one registered continuous view: its spec, its ring of live
 // panes, and the water-level bookkeeping that makes recovery honest.
+//
+// Two locks keep the seal path off pane maintenance. mu, the ring lock,
+// guards the ring — which panes are live, each pane's row count and
+// pending folds, the view's counters and its result cache — and is the
+// only lock absorb takes. tmu, the table lock, serializes everything that
+// touches pane tables: settle, compute and the pane snapshot. Lock order
+// is tmu → mu, and mu is only ever held for O(panes) bookkeeping, so a
+// seal never waits for a fold, a read or a snapshot unless its pane hit
+// maxPendingFolds.
 type View struct {
 	spec       Spec
 	withValues bool
 	startWM    uint64
+
+	tmu   sync.Mutex
+	folds []Fold // settle's scratch: the folds it detached; guarded by tmu
 
 	mu      sync.Mutex
 	panes   []*pane // ascending pane index; all >= the current retention floor
@@ -387,6 +428,9 @@ type View struct {
 // the pane's table — a read, a pane snapshot, or the pending cap. That
 // keeps the seal-publication path O(1) per view, and a pane evicted
 // before it is ever read never pays for its folds at all.
+//
+// The table is guarded by the view's tmu; rows, lastWM and pending by
+// its mu.
 type pane struct {
 	agg.Table
 	idx     uint64
@@ -404,35 +448,76 @@ const paneTableCap = 1 << 8
 // inline, amortizing the cost it deferred.
 const maxPendingFolds = 32
 
-// settle applies the pane's queued folds. Callers hold the owning view's
-// mu.
-func (p *pane) settle(m *Metrics, withValues bool) {
-	if len(p.pending) == 0 {
-		return
+// ring is a copy of a view's ring taken under the ring lock. Once settle
+// returns it, the listed panes' tables hold exactly the seals absorbed
+// up to lastWM, and the counters describe that same instant — a
+// consistent state to compute or snapshot from under the table lock
+// alone, while later seals queue behind it.
+type ring struct {
+	panes        []paneState
+	lastWM       uint64
+	ver          uint64
+	evicted      uint64
+	gapLo, gapHi uint64
+	windowStart  uint64
+	truncated    bool
+}
+
+// paneState is one pane as the ring copy saw it; folds counts the
+// pane's queued folds settle detached.
+type paneState struct {
+	p      *pane
+	rows   uint64
+	lastWM uint64
+	folds  int
+}
+
+// settle detaches every live pane's queued folds under the ring lock,
+// then applies them under the table lock alone, and returns the ring
+// state the settled tables reflect. Callers hold v.tmu.
+func (v *View) settle(m *Metrics) ring {
+	v.mu.Lock()
+	rs := ring{
+		panes:       make([]paneState, len(v.panes)),
+		lastWM:      v.lastWM,
+		ver:         v.ver,
+		evicted:     v.evicted,
+		gapLo:       v.gapLo,
+		gapHi:       v.gapHi,
+		windowStart: v.windowStart(),
+		truncated:   v.truncated(),
+	}
+	for i, p := range v.panes {
+		rs.panes[i] = paneState{p: p, rows: p.rows, lastWM: p.lastWM, folds: len(p.pending)}
+		v.folds = append(v.folds, p.pending...)
+		clear(p.pending)
+		p.pending = p.pending[:0]
+	}
+	v.mu.Unlock()
+
+	if len(v.folds) == 0 {
+		return rs
 	}
 	mk := obs.Start()
-	for _, f := range p.pending {
-		f(p.T, p.Ar, withValues)
+	off := 0
+	for _, ps := range rs.panes {
+		for _, f := range v.folds[off : off+ps.folds] {
+			f(ps.p.T, ps.p.Ar, v.withValues)
+		}
+		off += ps.folds
 	}
 	if m != nil {
 		if m.Updates != nil {
-			m.Updates.Add(uint64(len(p.pending)))
+			m.Updates.Add(uint64(len(v.folds)))
 		}
 		if m.UpdateLat != nil {
 			mk.Tick(m.UpdateLat)
 		}
 	}
-	for i := range p.pending {
-		p.pending[i] = nil
-	}
-	p.pending = p.pending[:0]
-}
-
-// settleAll applies every live pane's pending folds. Callers hold v.mu.
-func (v *View) settleAll(m *Metrics) {
-	for _, p := range v.panes {
-		p.settle(m, v.withValues)
-	}
+	// Drop the closures: each pins a sealed delta.
+	clear(v.folds)
+	v.folds = v.folds[:0]
+	return rs
 }
 
 // barrier returns the watermark at or below which seals are already
@@ -448,14 +533,16 @@ func (v *View) barrier() uint64 {
 // absorb accounts one sealed delta to the pane containing its end
 // watermark, opening the pane (and evicting expired ones) if needed. The
 // fold itself is deferred: absorb queues it on the pane and bumps the
-// version, so the seal path stays O(1) per view and readers settle on
-// demand.
-func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, fold Fold) {
+// version under the ring lock alone, so the seal path stays O(1) per
+// view and readers settle on demand. It reports whether the pane reached
+// maxPendingFolds; the caller then settles the view once the ring lock
+// is released.
+func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, fold Fold) (full bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	bar := v.barrier()
 	if endWM <= bar {
-		return // already absorbed, or sealed before registration
+		return false // already absorbed, or sealed before registration
 	}
 	if prevWM > bar {
 		// Replay skipped (bar, prevWM]: the WAL no longer carries those
@@ -469,14 +556,12 @@ func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, fold Fold) {
 		cur = v.open(r, pIdx)
 	}
 	cur.pending = append(cur.pending, fold)
-	if len(cur.pending) >= maxPendingFolds {
-		cur.settle(r.m, v.withValues)
-	}
 	cur.rows += rows
 	cur.lastWM = endWM
 	v.lastWM = endWM
 	v.ver++
 	v.cached = nil
+	return len(cur.pending) >= maxPendingFolds
 }
 
 func (v *View) tail() *pane {

@@ -1,9 +1,15 @@
 package cview
 
 import (
+	"bufio"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"memagg/internal/agg"
@@ -391,7 +397,8 @@ func TestDefsQueryIDGolden(t *testing.T) {
 		`{"name":"quantile","query_id":9,"p":0.9,"pane_rows":10,"panes":2,"start_wm":0},` +
 		`{"name":"mode","query_id":10,"pane_rows":10,"panes":2,"sliding":true,"start_wm":7}]}`
 	fs := wal.NewMemFS()
-	if err := writeAtomic(fs, "cv", defsName, wal.AppendFrame(nil, []byte(defs))); err != nil {
+	write := func(w *bufio.Writer) error { return wal.WriteFrame(w, []byte(defs)) }
+	if err := writeAtomic(fs, "cv", defsName, write); err != nil {
 		t.Fatal(err)
 	}
 	saved, err := Load(fs, "cv")
@@ -413,4 +420,161 @@ func TestDefsQueryIDGolden(t *testing.T) {
 	if last := saved[9]; last.StartWM != 7 || !last.Spec.Sliding || last.Spec.PaneRows != 10 {
 		t.Errorf("mode view decoded as %+v", last)
 	}
+}
+
+// TestPanesFormatGolden pins the PANES bytes: a fixed registry state must
+// snapshot to exactly the file earlier releases wrote (same frames, same
+// group runs, same version byte), so a pane snapshot written by one
+// build restores under any other. One holistic view over more groups
+// than panesChunkGroups covers the value runs and multi-run panes; the
+// digest was taken from the in-memory encoder that preceded the
+// streaming writer.
+func TestPanesFormatGolden(t *testing.T) {
+	r := NewRegistry(true, nil)
+	sp := Spec{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 30_000, Panes: 2, Sliding: true}
+	if err := r.Register(sp, 0); err != nil {
+		t.Fatal(err)
+	}
+	wm := uint64(0)
+	for i := 0; i < 4; i++ {
+		k, v := rows(i*20_000, 20_000, 20_000)
+		wm = seal(r, wm, k, v)
+	}
+	fs := wal.NewMemFS()
+	if err := r.SavePanes(fs, "cv"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("cv/" + panesName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "f687fa8b17656c0d0a5f56586bea34abc7431f1b3f26ee45e3df25f0dbbc0aaa"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Fatalf("PANES digest %s (%d bytes), want %s", got, len(b), want)
+	}
+}
+
+// TestConcurrentSealReadSave runs every view entry point at once — the
+// seal path (OnSeal, crossing maxPendingFolds so inline settles happen),
+// reads, pane snapshots, and registrations and drops — for the race
+// detector, then checks the long-lived view still equals the fold of
+// every sealed row and that the last snapshot restores to it.
+func TestConcurrentSealReadSave(t *testing.T) {
+	r := NewRegistry(false, nil)
+	all := Spec{Name: "all", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 1 << 40, Panes: 1}
+	slide := Spec{Name: "slide", Query: agg.Query{ID: agg.QReduce, Op: agg.OpSum}, PaneRows: 500, Panes: 3, Sliding: true}
+	for _, sp := range []Spec{all, slide} {
+		if err := r.Register(sp, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const minSeals, minRounds, perSeal, card = 4 * maxPendingFolds, 20, 100, 37
+	fs := wal.NewMemFS()
+	stop := make(chan struct{})
+	var (
+		wg     sync.WaitGroup
+		rounds [3]atomic.Int64
+		nloops int
+	)
+	loop := func(f func()) {
+		n := &rounds[nloops]
+		nloops++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					f()
+					n.Add(1)
+				}
+			}
+		}()
+	}
+	loop(func() {
+		for _, name := range []string{"all", "slide", "tmp"} {
+			if _, err := r.Result(name); err != nil && !errors.Is(err, ErrUnknown) {
+				t.Error(err)
+			}
+		}
+	})
+	loop(func() {
+		if err := r.SavePanes(fs, "cv"); err != nil {
+			t.Error(err)
+		}
+	})
+	loop(func() {
+		tmp := Spec{Name: "tmp", Query: agg.Query{ID: agg.QCount}, PaneRows: 300, Panes: 2}
+		if err := r.Register(tmp, 0); err != nil && !errors.Is(err, ErrExists) {
+			t.Error(err)
+		}
+		r.Drop("tmp")
+	})
+
+	// Seal until every other loop has overlapped the sealer for a few
+	// rounds, however the scheduler interleaves them.
+	busy := func() bool {
+		for i := range rounds {
+			if rounds[i].Load() < minRounds {
+				return true
+			}
+		}
+		return false
+	}
+	want := map[uint64]uint64{}
+	wm := uint64(0)
+	for i := 0; i < minSeals || busy(); i++ {
+		k, v := rows(i*perSeal, perSeal, card)
+		for _, key := range k {
+			want[key]++
+		}
+		wm = seal(r, wm, k, v)
+	}
+	close(stop)
+	wg.Wait()
+
+	check := func(label string, r *Registry) {
+		t.Helper()
+		res, err := r.Result("all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows != wm || res.WindowEnd != wm {
+			t.Fatalf("%s: rows %d window end %d, want %d", label, res.Rows, res.WindowEnd, wm)
+		}
+		got := res.Value.([]agg.GroupCount)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d groups, want %d", label, len(got), len(want))
+		}
+		for _, g := range got {
+			if want[g.Key] != g.Count {
+				t.Fatalf("%s: key %d count %d, want %d", label, g.Key, g.Count, want[g.Key])
+			}
+		}
+	}
+	check("live", r)
+	if err := r.SaveDefs(fs, "cv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SavePanes(fs, "cv"); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := Load(fs, "cv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := NewRegistry(false, nil)
+	for _, sv := range saved {
+		if err := r2.Restore(sv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("restored", r2)
 }

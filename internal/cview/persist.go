@@ -124,7 +124,9 @@ func (r *Registry) SaveDefs(fs wal.FS, dir string) error {
 	if err != nil {
 		return fmt.Errorf("cview: encode defs: %w", err)
 	}
-	return writeAtomic(fs, dir, defsName, wal.AppendFrame(nil, payload))
+	return writeAtomic(fs, dir, defsName, func(w *bufio.Writer) error {
+		return wal.WriteFrame(w, payload)
+	})
 }
 
 // panesChunkGroups bounds the groups per PANES frame so one frame stays
@@ -134,7 +136,8 @@ const panesChunkGroups = 1 << 14
 // SavePanes atomically rewrites the PANES file with every view's live
 // pane state. Called by the stream's checkpointer (before WAL truncation,
 // so saved state and surviving log always jointly cover every window) and
-// at Close.
+// at Close. The file streams to disk frame by frame, one view at a time
+// under that view's table lock; seals keep absorbing meanwhile.
 func (r *Registry) SavePanes(fs wal.FS, dir string) error {
 	r.mu.RLock()
 	views := make([]*View, 0, len(r.views))
@@ -143,28 +146,47 @@ func (r *Registry) SavePanes(fs wal.FS, dir string) error {
 	}
 	r.mu.RUnlock()
 
-	var buf []byte
-	hdr := make([]byte, 0, 16)
-	hdr = append(hdr, panesMagic...)
-	hdr = append(hdr, panesVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(views)))
-	buf = wal.AppendFrame(buf, hdr)
-	for _, v := range views {
-		buf = v.appendPanes(r.m, buf)
-	}
-	return writeAtomic(fs, dir, panesName, buf)
+	return writeAtomic(fs, dir, panesName, func(w *bufio.Writer) error {
+		pw := &paneWriter{w: w}
+		pw.buf = append(pw.buf, panesMagic...)
+		pw.buf = append(pw.buf, panesVersion)
+		pw.buf = binary.LittleEndian.AppendUint32(pw.buf, uint32(len(views)))
+		pw.frame()
+		for _, v := range views {
+			v.writePanes(r.m, pw)
+		}
+		return pw.err
+	})
 }
 
-// appendPanes serializes one view's state: a view-header frame, then per
+// paneWriter streams PANES frames: each payload is built in one reused
+// buffer and framed straight into the bufio.Writer. The first write
+// error sticks and ends the file.
+type paneWriter struct {
+	w    *bufio.Writer
+	buf  []byte
+	vals []uint64 // scratch for one group's value multiset
+	err  error
+}
+
+func (pw *paneWriter) frame() {
+	if pw.err == nil {
+		pw.err = wal.WriteFrame(pw.w, pw.buf)
+	}
+	pw.buf = pw.buf[:0]
+}
+
+// writePanes serializes one view's state: a view-header frame, then per
 // pane a pane-header frame followed by its group-run frames. Pending
-// folds settle first — the snapshot claims coverage through lastWM, so it
-// must actually contain every absorbed seal.
-func (v *View) appendPanes(m *Metrics, dst []byte) []byte {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.settleAll(m)
-	p := make([]byte, 0, 64+len(v.spec.Name))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(v.spec.Name)))
+// folds settle first — the snapshot claims coverage through the settled
+// ring's lastWM, so it must actually contain every seal absorbed up to
+// there. The table lock is held throughout; the ring lock only inside
+// settle.
+func (v *View) writePanes(m *Metrics, pw *paneWriter) {
+	v.tmu.Lock()
+	defer v.tmu.Unlock()
+	rs := v.settle(m)
+	p := binary.LittleEndian.AppendUint32(pw.buf, uint32(len(v.spec.Name)))
 	p = append(p, v.spec.Name...)
 	if v.withValues {
 		p = append(p, 1)
@@ -172,65 +194,65 @@ func (v *View) appendPanes(m *Metrics, dst []byte) []byte {
 		p = append(p, 0)
 	}
 	p = binary.LittleEndian.AppendUint64(p, v.startWM)
-	p = binary.LittleEndian.AppendUint64(p, v.lastWM)
-	p = binary.LittleEndian.AppendUint64(p, v.gapLo)
-	p = binary.LittleEndian.AppendUint64(p, v.gapHi)
-	p = binary.LittleEndian.AppendUint64(p, v.evicted)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(v.panes)))
-	dst = wal.AppendFrame(dst, p)
-	for _, pn := range v.panes {
-		dst = pn.append(dst, v.withValues)
+	p = binary.LittleEndian.AppendUint64(p, rs.lastWM)
+	p = binary.LittleEndian.AppendUint64(p, rs.gapLo)
+	p = binary.LittleEndian.AppendUint64(p, rs.gapHi)
+	p = binary.LittleEndian.AppendUint64(p, rs.evicted)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(rs.panes)))
+	pw.buf = p
+	pw.frame()
+	for _, ps := range rs.panes {
+		writePane(pw, ps, v.withValues)
 	}
-	return dst
 }
 
-func (pn *pane) append(dst []byte, withValues bool) []byte {
-	total := pn.T.Len()
+func writePane(pw *paneWriter, ps paneState, withValues bool) {
+	t := ps.p.T
+	total := t.Len()
 	chunks := (total + panesChunkGroups - 1) / panesChunkGroups
-	hdr := make([]byte, 0, 32)
-	hdr = binary.LittleEndian.AppendUint64(hdr, pn.idx)
-	hdr = binary.LittleEndian.AppendUint64(hdr, pn.rows)
-	hdr = binary.LittleEndian.AppendUint64(hdr, pn.lastWM)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(chunks))
-	dst = wal.AppendFrame(dst, hdr)
+	p := binary.LittleEndian.AppendUint64(pw.buf, ps.p.idx)
+	p = binary.LittleEndian.AppendUint64(p, ps.rows)
+	p = binary.LittleEndian.AppendUint64(p, ps.lastWM)
+	p = binary.LittleEndian.AppendUint32(p, uint32(chunks))
+	pw.buf = p
+	pw.frame()
 
-	var (
-		payload []byte
-		vals    []uint64
-		n       int
-	)
-	flush := func() []byte {
+	// A group run is [n uint32 | n groups]; n is patched in at the flush.
+	n := 0
+	flush := func() {
 		if n == 0 {
-			return dst
+			return
 		}
-		chunk := binary.LittleEndian.AppendUint32(nil, uint32(n))
-		chunk = append(chunk, payload...)
-		dst = wal.AppendFrame(dst, chunk)
-		payload, n = payload[:0], 0
-		return dst
+		binary.LittleEndian.PutUint32(pw.buf, uint32(n))
+		pw.frame()
+		n = 0
 	}
-	pn.T.Iterate(func(k uint64, p *agg.Partial) bool {
-		payload = binary.LittleEndian.AppendUint64(payload, k)
-		payload = binary.LittleEndian.AppendUint64(payload, p.Count())
-		payload = binary.LittleEndian.AppendUint64(payload, p.Sum())
-		mn, _ := p.Min()
-		mx, _ := p.Max()
-		payload = binary.LittleEndian.AppendUint64(payload, mn)
-		payload = binary.LittleEndian.AppendUint64(payload, mx)
+	t.Iterate(func(k uint64, pp *agg.Partial) bool {
+		if n == 0 {
+			pw.buf = append(pw.buf, 0, 0, 0, 0)
+		}
+		p := binary.LittleEndian.AppendUint64(pw.buf, k)
+		p = binary.LittleEndian.AppendUint64(p, pp.Count())
+		p = binary.LittleEndian.AppendUint64(p, pp.Sum())
+		mn, _ := pp.Min()
+		mx, _ := pp.Max()
+		p = binary.LittleEndian.AppendUint64(p, mn)
+		p = binary.LittleEndian.AppendUint64(p, mx)
 		if withValues {
-			vals = p.AppendValues(pn.Ar, vals[:0])
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(vals)))
-			for _, v := range vals {
-				payload = binary.LittleEndian.AppendUint64(payload, v)
+			pw.vals = pp.AppendValues(ps.p.Ar, pw.vals[:0])
+			p = binary.LittleEndian.AppendUint32(p, uint32(len(pw.vals)))
+			for _, v := range pw.vals {
+				p = binary.LittleEndian.AppendUint64(p, v)
 			}
 		}
+		pw.buf = p
 		n++
 		if n == panesChunkGroups {
-			dst = flush()
+			flush()
 		}
-		return true
+		return pw.err == nil
 	})
-	return flush()
+	flush()
 }
 
 // Load recovers the persisted view set from dir: definitions from DEFS,
@@ -416,6 +438,8 @@ func (r *Registry) Restore(sv Saved) error {
 	r.mu.RLock()
 	v := r.views[sv.Spec.Name]
 	r.mu.RUnlock()
+	v.tmu.Lock()
+	defer v.tmu.Unlock()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if sv.LastWM > v.lastWM {
@@ -444,8 +468,9 @@ func (r *Registry) Restore(sv Saved) error {
 }
 
 // writeAtomic writes one file via tmp + rename + dir sync — the same
-// commit discipline the WAL manifest and checkpoint CURRENT use.
-func writeAtomic(fs wal.FS, dir, name string, data []byte) error {
+// commit discipline the WAL manifest and checkpoint CURRENT use. write
+// streams the content through a buffered writer.
+func writeAtomic(fs wal.FS, dir, name string, write func(w *bufio.Writer) error) error {
 	if err := fs.MkdirAll(dir); err != nil {
 		return fmt.Errorf("cview: mkdir %s: %w", dir, err)
 	}
@@ -454,7 +479,12 @@ func writeAtomic(fs wal.FS, dir, name string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("cview: create %s: %w", tmp, err)
 	}
-	if _, err := f.Write(data); err != nil {
+	bw := bufio.NewWriterSize(f, 1<<16)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("cview: write %s: %w", tmp, err)
 	}

@@ -35,38 +35,38 @@ type Result struct {
 	Value any
 }
 
-// compute evaluates the view's query over its live panes: merge the
+// compute evaluates the view's query over the settled ring rs: merge the
 // panes into one combined table with agg.MergeTable (exact Partial.Merge
 // — the same fold the stream's merger and snapshots use), then run the
-// shared kernels over it. Callers hold v.mu; the panes are only ever
-// mutated under it, so the merged table is consistent by construction.
-func (v *View) compute(m *Metrics) *Result {
-	v.settleAll(m)
+// shared kernels over it. Callers hold v.tmu, under which pane tables
+// alone change, and pass the ring settle returned, so the merged table
+// is consistent with rs's version by construction.
+func (v *View) compute(rs ring) *Result {
 	res := &Result{
 		Name:        v.spec.Name,
 		Query:       v.spec.Query,
-		WindowStart: v.windowStart(),
-		WindowEnd:   v.lastWM,
-		PanesLive:   len(v.panes),
-		Version:     v.ver,
-		Truncated:   v.truncated(),
+		WindowStart: rs.windowStart,
+		WindowEnd:   rs.lastWM,
+		PanesLive:   len(rs.panes),
+		Version:     rs.ver,
+		Truncated:   rs.truncated,
 	}
 	bound := 0
-	for _, p := range v.panes {
-		res.Rows += p.rows
-		bound += p.T.Len()
+	for _, ps := range rs.panes {
+		res.Rows += ps.rows
+		bound += ps.p.T.Len()
 	}
 	var merged agg.Table
-	if len(v.panes) == 1 {
+	if len(rs.panes) == 1 {
 		// Single live pane: query it directly, no merge copy.
-		merged = v.panes[0].Table
-	} else if len(v.panes) > 1 {
+		merged = rs.panes[0].p.Table
+	} else if len(rs.panes) > 1 {
 		merged.T = hashtbl.NewLinearProbe[agg.Partial](max(bound, paneTableCap))
 		if v.withValues {
 			merged.Ar = arena.New()
 		}
-		for _, p := range v.panes {
-			agg.MergeTable(merged, p.Table, v.withValues)
+		for _, ps := range rs.panes {
+			agg.MergeTable(merged, ps.p.Table, v.withValues)
 		}
 	}
 	res.Groups = merged.Len()

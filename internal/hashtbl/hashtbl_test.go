@@ -332,3 +332,69 @@ func TestMixersDiffer(t *testing.T) {
 		t.Fatalf("Mix and Mix2 agree on %d of 1000 keys; too correlated", same)
 	}
 }
+
+// TestLinearProbeCloneIndependent: a clone starts with the original's
+// contents, zero key included, and from then on the two tables share
+// nothing — updates, inserts that force the clone to grow, and deletes on
+// either side stay invisible to the other. Both slot modes (mask and
+// prime modulo) clone.
+func TestLinearProbeCloneIndependent(t *testing.T) {
+	ctors := map[string]func(int) *LinearProbe[uint64]{
+		"mask": NewLinearProbe[uint64],
+		"mod":  NewLinearProbeMod[uint64],
+	}
+	for name, mk := range ctors {
+		orig := mk(16)
+		for k := uint64(0); k < 12; k++ { // key 0 lives in the dedicated cell
+			*orig.Upsert(k) = k * 10
+		}
+		origCap := orig.Cap()
+		c := orig.Clone()
+		if c.Len() != orig.Len() || c.Cap() != origCap {
+			t.Fatalf("%s: clone len/cap %d/%d, want %d/%d", name, c.Len(), c.Cap(), orig.Len(), origCap)
+		}
+		for k := uint64(0); k < 12; k++ {
+			if v := c.Get(k); v == nil || *v != k*10 {
+				t.Fatalf("%s: clone lost key %d", name, k)
+			}
+		}
+
+		*c.Upsert(0) = 999
+		*c.Upsert(5) = 555
+		c.Delete(3)
+		for k := uint64(100); k < 1100; k++ {
+			*c.Upsert(k) = k
+		}
+		if c.Cap() <= origCap {
+			t.Fatalf("%s: clone did not grow (cap %d)", name, c.Cap())
+		}
+		if orig.Len() != 12 || orig.Cap() != origCap {
+			t.Fatalf("%s: clone writes changed the original: len %d cap %d", name, orig.Len(), orig.Cap())
+		}
+		for k := uint64(0); k < 12; k++ {
+			if v := orig.Get(k); v == nil || *v != k*10 {
+				t.Fatalf("%s: original key %d changed by clone writes", name, k)
+			}
+		}
+		if orig.Get(100) != nil {
+			t.Fatalf("%s: clone insert visible in the original", name)
+		}
+
+		*orig.Upsert(7) = 1
+		orig.Delete(0)
+		if v := c.Get(0); v == nil || *v != 999 {
+			t.Fatalf("%s: original zero-key delete reached the clone", name)
+		}
+		if v := c.Get(7); v == nil || *v != 70 {
+			t.Fatalf("%s: original update reached the clone", name)
+		}
+		if want := 12 - 1 + 1000; c.Len() != want {
+			t.Fatalf("%s: clone len %d, want %d", name, c.Len(), want)
+		}
+		for k := uint64(100); k < 1100; k++ {
+			if v := c.Get(k); v == nil || *v != k {
+				t.Fatalf("%s: clone lost grown key %d", name, k)
+			}
+		}
+	}
+}

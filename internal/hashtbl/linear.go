@@ -131,6 +131,19 @@ func (t *LinearProbe[V]) UpsertH(key, h uint64) *V {
 	}
 }
 
+// Clone returns an independent copy of the table. The slot arrays are
+// copied as they stand — no zeroing pass and no rehash, since the copy
+// keeps the capacity and therefore every key's slot — so cloning a
+// table costs two memmoves where re-inserting its keys into a fresh one
+// costs a hash and a probe per key. Values are copied by assignment: a V
+// that holds references shares them with the original.
+func (t *LinearProbe[V]) Clone() *LinearProbe[V] {
+	c := *t
+	c.keys = append([]uint64(nil), t.keys...)
+	c.vals = append([]V(nil), t.vals...)
+	return &c
+}
+
 // Get returns a pointer to the value stored for key, or nil if absent.
 func (t *LinearProbe[V]) Get(key uint64) *V {
 	if key == 0 {

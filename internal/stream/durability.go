@@ -353,9 +353,27 @@ func (s *Stream) checkpointOnce() {
 	if d.degraded.Load() {
 		return
 	}
+	wm, ok := s.writeCheckpoint()
+	if !ok {
+		return
+	}
+	// Snapshot continuous-view pane state before dropping any log segments:
+	// the truncated records are the only other source those panes could
+	// rebuild from. The checkpointed base is no longer referenced here, so
+	// a merge cycle that supersedes it meanwhile frees it.
+	s.saveViewPanes()
+	// Sealed segments fully below the checkpoint are now redundant.
+	_ = d.log.TruncateBelow(wm)
+}
+
+// writeCheckpoint writes and commits a checkpoint of the current base
+// generation, returning its watermark; false means there was nothing new
+// to checkpoint or the write failed.
+func (s *Stream) writeCheckpoint() (uint64, bool) {
+	d := s.dur
 	base := s.view.Load().base
 	if base == nil || base.rows <= d.lastCkptWM.Load() {
-		return
+		return 0, false
 	}
 	start := time.Now()
 	meta := checkpoint.Meta{
@@ -366,7 +384,7 @@ func (s *Stream) checkpointOnce() {
 	}
 	w, err := checkpoint.NewWriter(d.fs, d.ckptDir, meta)
 	if err != nil {
-		return
+		return 0, false
 	}
 	for q := range base.parts {
 		tb := base.parts[q]
@@ -387,22 +405,17 @@ func (s *Stream) checkpointOnce() {
 		})
 		if err != nil {
 			w.Abort()
-			return
+			return 0, false
 		}
 	}
 	if err := w.Commit(); err != nil {
 		w.Abort()
-		return
+		return 0, false
 	}
-	d.lastCkptWM.Store(base.rows)
+	d.lastCkptWM.Store(meta.Watermark)
 	s.m.ckpts.Inc()
 	s.m.ckptLat.Observe(time.Since(start))
-	// Snapshot continuous-view pane state before dropping any log segments:
-	// the truncated records are the only other source those panes could
-	// rebuild from.
-	s.saveViewPanes()
-	// Sealed segments fully below the checkpoint are now redundant.
-	_ = d.log.TruncateBelow(base.rows)
+	return meta.Watermark, true
 }
 
 // closeDurability finishes the durability layer during Close: stop the

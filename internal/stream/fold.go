@@ -22,11 +22,12 @@ type srcPartial struct {
 // columns and scattered with the Hash_RX partitioner (radix.Partition) by
 // the base generation's MergeBits; each partition is then rebuilt
 // independently — copy of the base partition, then the delta groups that
-// landed there — across workers on the morsel partition cursor. Partitions
-// that received no delta groups are shared with the base unchanged (both
-// are immutable, so structural sharing is free): a query that lands just
-// after a small seal rebuilds only the partitions the delta touched, not
-// the whole base.
+// landed there — across workers on the morsel partition cursor. The copy
+// is a slot-array clone for distributive streams and a re-insert for
+// holistic ones (see below). Partitions that received no delta groups are
+// shared with the base unchanged (both are immutable, so structural
+// sharing is free): a query that lands just after a small seal rebuilds
+// only the partitions the delta touched, not the whole base.
 func (s *Stream) foldParts(base *generation, ds []*delta, workers int) []agg.Table {
 	bits := s.cfg.MergeBits
 	holistic := s.cfg.Holistic
@@ -53,24 +54,28 @@ func (s *Stream) foldParts(base *generation, ds []*delta, workers int) []agg.Tab
 	parts := make([]agg.Table, p)
 	morsel.Parts(p, workers, func(_, q int) {
 		var bp agg.Table
-		baseLen := 0
 		if base != nil {
 			bp = base.parts[q]
-			if bp.T != nil {
-				baseLen = bp.T.Len()
-			}
 		}
 		pk, pi := pt.PartKeys(q), pt.PartVals(q)
 		if len(pk) == 0 {
 			parts[q] = bp // untouched: share with the base
 			return
 		}
-		nt := agg.Table{
-			T:  hashtbl.NewLinearProbe[agg.Partial](baseLen + len(pk)),
-			Ar: arena.New(),
-		}
-		if bp.T != nil {
-			agg.MergeTable(nt, bp, holistic)
+		nt := agg.Table{Ar: arena.New()}
+		switch {
+		case bp.T != nil && !holistic:
+			// A distributive partition is plain slot data: copy it whole
+			// and upsert the delta groups into the copy.
+			nt.T = bp.T.Clone()
+		case bp.T != nil:
+			// Holistic partials reference value lists in the base's arena,
+			// which the new generation cannot share, so their groups are
+			// re-inserted with the lists copied into the new arena.
+			nt.T = hashtbl.NewLinearProbe[agg.Partial](bp.T.Len() + len(pk))
+			agg.MergeTable(nt, bp, true)
+		default:
+			nt.T = hashtbl.NewLinearProbe[agg.Partial](len(pk))
 		}
 		// The delta groups land via the same blocked-hash loop as the
 		// batch kernels: pk is a plain column, so the blocks need no

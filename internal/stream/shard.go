@@ -17,30 +17,27 @@ type delta struct {
 	keys, vals []uint64
 }
 
-// deltaTableCap seeds a fresh delta's table when the stream has no
-// cardinality estimate; LinearProbe doubles as groups arrive, so a
-// low-cardinality delta stays tiny while a high-cardinality one amortizes
-// its growth. With Config.EstimatedGroups set, deltaSeed sizes the table
-// up front instead — a high-cardinality delta otherwise pays ~log2(groups/
-// 1024) rehash passes before its first seal (BenchmarkStreamIngest
-// documents the before/after).
+// deltaTableCap is the smallest seed of a fresh delta's table, and the
+// whole seed of a shard's first delta when the stream has no cardinality
+// estimate; LinearProbe doubles as groups arrive.
 const deltaTableCap = 1 << 10
 
-// deltaSeed returns the capacity a fresh delta table is created with:
-// the configured estimate, capped by SealRows (a delta cannot hold more
-// groups than rows before it seals).
+// deltaSeed returns the capacity a fresh delta table is created with.
+// With Config.EstimatedGroups set it is the estimate, capped by SealRows
+// (a delta cannot hold more groups than rows before it seals). Without
+// one it is the group count of the shard's previous delta: a stream's
+// cardinality per SealRows rows drifts slowly, so a high-cardinality
+// shard's deltas skip the ~log2(groups/1024) rehash passes a fixed small
+// seed costs each of them, while a low-cardinality one stays tiny. Both
+// are floored at deltaTableCap.
 func (sh *shard) deltaSeed() int {
 	est := sh.s.cfg.EstimatedGroups
 	if est <= 0 {
-		return deltaTableCap
-	}
-	if est > sh.s.cfg.SealRows {
+		est = sh.lastGroups
+	} else if est > sh.s.cfg.SealRows {
 		est = sh.s.cfg.SealRows
 	}
-	if est < deltaTableCap {
-		return deltaTableCap
-	}
-	return est
+	return max(est, deltaTableCap)
 }
 
 // shard is one writer: a goroutine draining a bounded batch queue into a
@@ -54,6 +51,8 @@ type shard struct {
 	// handed back by publish once the WAL record is written; the next
 	// delta appends into them instead of growing fresh slices.
 	spareKeys, spareVals []uint64
+	// lastGroups is the previous delta's group count (see deltaSeed).
+	lastGroups int
 }
 
 func (sh *shard) run() {
@@ -142,6 +141,7 @@ func (sh *shard) seal() {
 	}
 	d := sh.cur
 	sh.cur = nil
+	sh.lastGroups = d.T.Len()
 	sh.s.m.seals.Inc()
 	sh.spareKeys, sh.spareVals = sh.s.publish(d)
 }

@@ -86,8 +86,8 @@ type Config struct {
 	// (Section 3.2's "cardinality is unknown up front" knob, surfaced).
 	// It seeds each shard's delta table — capped at SealRows, since a
 	// delta can never hold more groups than rows — so a well-estimated
-	// stream's deltas skip their doubling cascade. <= 0 keeps the small
-	// default seed (growth amortizes it for low-cardinality streams).
+	// stream's deltas skip their doubling cascade. <= 0 seeds each delta
+	// from the group count of its shard's previous delta instead.
 	EstimatedGroups int
 
 	// QueryWorkers is the parallelism of snapshot queries: the
@@ -577,11 +577,19 @@ type Stats struct {
 	CheckpointWatermark uint64
 }
 
+// Ingested returns the number of rows accepted by Append: Stats().Ingested
+// without the report's locks and file-size calls, for per-request acks.
+func (s *Stream) Ingested() uint64 { return s.m.rows.Value() }
+
+// Watermark returns the number of rows visible to a Snapshot taken now:
+// Stats().Watermark, one atomic load.
+func (s *Stream) Watermark() uint64 { return s.view.Load().watermark }
+
 // Stats reports the stream's current state, read from the same obs-backed
 // instruments /metrics serves. Safe from any goroutine.
 func (s *Stream) Stats() Stats {
 	v := s.view.Load()
-	ing := s.m.rows.Value()
+	ing := s.Ingested()
 	st := Stats{
 		Shards:        len(s.shards),
 		Holistic:      s.cfg.Holistic,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -641,5 +642,118 @@ func TestCViewStats(t *testing.T) {
 	}
 	if st.ViewReads != 2 || st.ViewReadsCached != 1 {
 		t.Fatalf("reads=%d cached=%d, want 2/1", st.ViewReads, st.ViewReadsCached)
+	}
+}
+
+// paneBlockFS is a wal.FS whose writes to the pane snapshot file block
+// until release is closed; blocked closes at the first such write.
+type paneBlockFS struct {
+	wal.FS
+	once             sync.Once
+	blocked, release chan struct{}
+}
+
+func (fs *paneBlockFS) Create(name string) (wal.File, error) {
+	f, err := fs.FS.Create(name)
+	if err != nil || filepath.Base(name) != "PANES.tmp" {
+		return f, err
+	}
+	return paneBlockFile{File: f, fs: fs}, nil
+}
+
+type paneBlockFile struct {
+	wal.File
+	fs *paneBlockFS
+}
+
+func (f paneBlockFile) Write(p []byte) (int, error) {
+	f.fs.once.Do(func() { close(f.fs.blocked) })
+	<-f.fs.release
+	return f.File.Write(p)
+}
+
+// TestCViewSnapshotDoesNotStallIngest: the checkpointer's pane snapshot
+// streams to disk under each view's table lock, and the seal path must
+// not need that lock. With the PANES write stuck mid-view (the view's
+// state is larger than the snapshot's write buffer, so the first write
+// happens while its table lock is held), Append and Flush still complete
+// — for a few seals, fewer than the pending-fold cap past which a seal
+// settles inline and waits for the table lock by design.
+func TestCViewSnapshotDoesNotStallIngest(t *testing.T) {
+	fs := &paneBlockFS{FS: wal.NewMemFS(), blocked: make(chan struct{}), release: make(chan struct{})}
+	cfg := durableConfig(fs, 1000)
+	cfg.Holistic = false
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(fs.release)
+		}
+	}
+	defer func() {
+		release()
+		s.Close()
+	}()
+	spec := cview.Spec{Name: "counts", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 1 << 20, Panes: 1}
+	if err := s.RegisterView(spec); err != nil {
+		t.Fatal(err)
+	}
+	// 8000 distinct groups: ~320 KB of pane state, well past one buffer.
+	const groups, seal = 8000, 512
+	keys := make([]uint64, groups)
+	vals := make([]uint64, groups)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+		vals[i] = uint64(i)
+	}
+	if err := s.Append(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fs.blocked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no checkpoint reached the pane snapshot")
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 4; i++ { // 4 seals: well under the pending-fold cap
+			if err := s.Append(keys[i*seal:(i+1)*seal], vals[i*seal:(i+1)*seal]); err != nil {
+				done <- err
+				return
+			}
+			if err := s.Flush(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Append+Flush stalled behind a blocked pane snapshot")
+	}
+	if wm := s.Watermark(); wm != groups+4*seal {
+		t.Fatalf("watermark %d, want %d", wm, groups+4*seal)
+	}
+
+	release()
+	res, err := s.ViewResult(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows != groups+4*seal || res.Groups != groups {
+		t.Fatalf("view rows %d groups %d, want %d / %d", res.Rows, res.Groups, groups+4*seal, groups)
 	}
 }

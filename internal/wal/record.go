@@ -38,13 +38,30 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // and checkpoint codecs) compute the same sum ReadFrame verifies.
 func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
-// AppendFrame appends the frame for payload to dst and returns it.
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
+// frameHeaderOf returns the [length | CRC32C] header framing payload.
+func frameHeaderOf(payload []byte) (hdr [frameHeader]byte) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return hdr
+}
+
+// AppendFrame appends the frame for payload to dst and returns it.
+func AppendFrame(dst, payload []byte) []byte {
+	hdr := frameHeaderOf(payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
+}
+
+// WriteFrame writes the frame for payload to w: AppendFrame for writers
+// that stream frames through a bufio.Writer instead of assembling the
+// whole file in memory.
+func WriteFrame(w io.Writer, payload []byte) error {
+	hdr := frameHeaderOf(payload)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }
 
 // ReadFrame reads one frame from r. It returns the payload and the total

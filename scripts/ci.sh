@@ -115,6 +115,17 @@ go test -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate' -count
 # reads cost; this pins what ingest pays).
 MEMAGG_CVIEW_GUARD=1 go test -run 'TestCViewOverheadGuard' -count=1 -v ./internal/stream
 
+# Pane maintenance off the seal path (DESIGN.md §1.2l, §1.2e): a pane
+# snapshot stuck mid-write must not stall Append+Flush, every view entry
+# point (seal, read, snapshot, register, drop) must run concurrently
+# without a race while the PANES bytes stay those of earlier releases,
+# and the merger's partition clone must share nothing with its base
+# (zero key and growth after the clone included). Pinned by name so a
+# rename can't silently drop them.
+go test -race -run 'TestCViewSnapshotDoesNotStallIngest' -count=1 -v ./internal/stream
+go test -race -run 'TestConcurrentSealReadSave|TestPanesFormatGolden' -count=1 -v ./internal/cview
+go test -race -run 'TestLinearProbeCloneIndependent' -count=1 -v ./internal/hashtbl
+
 # One query model (agg.Query, DESIGN.md §1.2m): the parse/validate table,
 # the on-disk query_id contract of view definitions, the facade's typed
 # bad-quantile error, and the node-vs-router parity table — its NaN

@@ -259,6 +259,14 @@ func (s *Stream) MergeNow() bool { return s.s.MergeNow() }
 // (in-flight calls complete first; late callers get ErrClosed).
 func (s *Stream) Close() error { return s.s.Close() }
 
+// Ingested returns the number of rows the stream has accepted —
+// StreamStats.Ingested, read without assembling the full report.
+func (s *Stream) Ingested() uint64 { return s.s.Ingested() }
+
+// Watermark returns the number of rows visible to a snapshot taken now —
+// StreamStats.Watermark, read without assembling the full report.
+func (s *Stream) Watermark() uint64 { return s.s.Watermark() }
+
 // Snapshot pins the current queryable state — every row sealed so far,
 // exactly Watermark() of them — without blocking writers or the merger.
 func (s *Stream) Snapshot() *StreamSnapshot { return &StreamSnapshot{sn: s.s.Snapshot()} }
