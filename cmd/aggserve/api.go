@@ -28,10 +28,13 @@ const statusClientClosedRequest = 499
 // the liveness probe: the process is up and the mux is serving. It
 // deliberately checks nothing else — a read-only node or a router with
 // unreachable peers is still alive, and restarting it would not help.
+// bodies is the encoded-body cache the query and view-result routes of
+// both modes share; its counters live in the api registry.
 type api struct {
 	mux      *http.ServeMux
 	requests *obs.CounterVec
 	latency  *obs.HistogramVec
+	bodies   *bodyCache
 }
 
 func newAPI(regs ...*obs.Registry) *api {
@@ -42,6 +45,7 @@ func newAPI(regs ...*obs.Registry) *api {
 			"HTTP requests served, by route and status code.", "route", "code"),
 		latency: reg.NewHistogramVec("memagg_http_request_seconds",
 			"HTTP request latency, by route.", "route"),
+		bodies: newBodyCache(reg),
 	}
 	regs = append(regs, reg)
 	a.mux.Handle("/v1/metrics", obs.Handler(regs...))
@@ -102,11 +106,12 @@ type queryState interface {
 
 // serveQuery answers GET /v1/query for both modes: parse the URL once,
 // pin the state, answer 304 when the client already holds the body for
-// its entity tag (before any query work runs), run the query once and
-// encode once. The query runs off the handler goroutine so a client that
-// goes away stops the wait; the state is read-only, so the abandoned run
-// has nothing to undo.
-func serveQuery(w http.ResponseWriter, r *http.Request, pin func() (queryState, error)) {
+// its entity tag, then serve the encoded body cached for this tag and
+// query — all before any query work runs. Otherwise run the query once,
+// encode once and cache the body. The query runs off the handler
+// goroutine so a client that goes away stops the wait; the state is
+// read-only, so the abandoned run has nothing to undo.
+func (a *api) serveQuery(w http.ResponseWriter, r *http.Request, pin func() (queryState, error)) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
@@ -117,6 +122,7 @@ func serveQuery(w http.ResponseWriter, r *http.Request, pin func() (queryState, 
 		writeError(w, err)
 		return
 	}
+	ticket := a.bodies.ticket()
 	st, err := pin()
 	if err != nil {
 		writeError(w, err)
@@ -124,6 +130,11 @@ func serveQuery(w http.ResponseWriter, r *http.Request, pin func() (queryState, 
 	}
 	etag := st.etag()
 	if notModified(w, r, etag) {
+		return
+	}
+	key := bodyKey{q: q, name: params.Get("q")}
+	if body, ok := a.bodies.get(queryResource, etag, key); ok {
+		writeBody(w, etag, body)
 		return
 	}
 	type outcome struct {
@@ -143,8 +154,11 @@ func serveQuery(w http.ResponseWriter, r *http.Request, pin func() (queryState, 
 			writeError(w, o.err)
 			return
 		}
-		w.Header().Set("ETag", etag)
-		writeJSON(w, st.response(params.Get("q"), o.result))
+		body, ok := encodeJSON(st.response(key.name, o.result))
+		if ok {
+			a.bodies.put(queryResource, etag, key, body, ticket)
+		}
+		writeBody(w, etag, body)
 	}
 }
 

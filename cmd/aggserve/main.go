@@ -39,8 +39,12 @@
 // carry `ETag: "<watermark>"`; a request whose If-None-Match matches the
 // current watermark gets 304 Not Modified before any query work runs.
 // -query-workers sets snapshot query parallelism and -query-cache sizes
-// the per-view materialized-result cache (repeated dashboard queries
-// against an unchanged view are served from it).
+// the encoded-body cache: a read repeated at an unchanged ETag is
+// answered with the stored bytes, with Content-Length, without query or
+// encode. A stored body answers every repeat the stream's per-view
+// result cache would, so the node runs its stream with that cache off
+// (only a body above the cache's byte bound is computed again). The
+// router keeps the default body bound.
 //
 // /metrics serves three metric groups in one scrape: the process-global
 // instruments (engine phase timings, arena accounting), the stream's
@@ -71,7 +75,7 @@ func main() {
 	holistic := flag.Bool("holistic", false, "retain value multisets (median/quantile/mode queries)")
 	seal := flag.Int("seal", 0, "rows per delta before it becomes visible (0 = default)")
 	queryWorkers := flag.Int("query-workers", 0, "snapshot query parallelism: delta folds and partition scans (0 = one per CPU)")
-	queryCache := flag.Int("query-cache", 0, "per-view result cache entries (0 = default 128, negative = disabled)")
+	queryCache := flag.Int("query-cache", 0, "encoded response bodies cached per resource (0 = default 128, negative = disabled)")
 	dataDir := flag.String("data-dir", "", "durability root (WAL + checkpoints); empty = volatile")
 	syncPolicy := flag.String("sync", "interval", "WAL fsync policy: none | interval | always")
 	checkpointEvery := flag.Int("checkpoint-every", 0,
@@ -91,7 +95,7 @@ func main() {
 		Shards:            *shards,
 		SealRows:          *seal,
 		QueryWorkers:      *queryWorkers,
-		QueryCacheEntries: *queryCache,
+		QueryCacheEntries: -1,
 		Holistic:          *holistic,
 	}
 	if *dataDir != "" {
@@ -113,7 +117,9 @@ func main() {
 	}
 
 	log.Printf("aggserve: listening on %s (shards=%d holistic=%v)", *addr, s.Stats().Shards, *holistic)
-	serve(*addr, newServer(s), func() {
+	srv := newServer(s)
+	srv.bodies.setLimit(*queryCache)
+	serve(*addr, srv, func() {
 		// In-flight handlers have drained; any that race the close observe
 		// ErrClosed and map to 503 (Close is safe against concurrent
 		// Append/Flush). On a durable stream Close also seals remaining

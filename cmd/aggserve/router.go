@@ -89,10 +89,10 @@ type clusterQueryResponse struct {
 
 // handleQuery answers over a fresh gather. The gather itself cannot be
 // skipped — the composed watermark vector, the entity tag, is only known
-// from the peers' responses — but on an ETag match the merge-side query
-// work and the response body are.
+// from the peers' responses — but on an ETag match, or a body cached for
+// the tag, the merge-side query work and the encode are.
 func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	serveQuery(w, r, func() (queryState, error) {
+	srv.serveQuery(w, r, func() (queryState, error) {
 		m, err := srv.rt.Gather()
 		return clusterState{m}, err
 	})

@@ -145,7 +145,7 @@ type queryResponse struct {
 // handleQuery answers over a freshly pinned snapshot; its watermark is
 // the entity tag.
 func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	serveQuery(w, r, func() (queryState, error) { return nodeState{srv.stream.Snapshot()}, nil })
+	srv.serveQuery(w, r, func() (queryState, error) { return nodeState{srv.stream.Snapshot()}, nil })
 }
 
 // nodeState is the queryState of a single node: one stream snapshot.

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"net/http"
 	"strconv"
 	"strings"
@@ -17,10 +19,11 @@ import (
 //	DELETE /v1/views/{name}        drop a view
 //	GET    /v1/views/{name}/result evaluate the view's standing query
 //
-// Result responses carry an ETag derived from the view's version counter
-// and absorbed watermark, so a poller whose view has not absorbed a seal
-// since its last read gets a 304 without any merge work — the HTTP face
-// of the view's own result cache.
+// Result responses carry an ETag derived from the view's version counter,
+// absorbed watermark and registration, so a poller whose view has not
+// absorbed a seal since its last read gets a 304 without any merge work —
+// the HTTP face of the view's own result cache. A plain repeated read at
+// that tag is answered with the body encoded for it the first time.
 
 // viewRequest is the POST /v1/views body: the ViewSpec fields in the
 // /v1/query parameter spellings.
@@ -59,6 +62,7 @@ func (srv *server) handleViews(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
+		srv.bodies.forget(viewResource(req.Name))
 		info, err := srv.stream.ViewStatus(req.Name)
 		if err != nil {
 			// Registered but dropped by a concurrent DELETE before the
@@ -98,6 +102,7 @@ func (srv *server) handleViewItem(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, "unknown view "+strconv.Quote(name))
 			return
 		}
+		srv.bodies.forget(viewResource(name))
 		writeJSON(w, map[string]any{"dropped": name})
 	case sub == "result" && r.Method == http.MethodGet:
 		srv.handleViewResult(w, r, name)
@@ -107,15 +112,23 @@ func (srv *server) handleViewItem(w http.ResponseWriter, r *http.Request) {
 }
 
 func (srv *server) handleViewResult(w http.ResponseWriter, r *http.Request, name string) {
-	// A view result is fully determined by the view's fold/evict version
-	// and the watermark it has absorbed, so that pair is the entity tag —
-	// checked before any pane merge runs.
+	// A view result is fully determined by the view's registration and
+	// its fold/evict version and absorbed watermark, so the entity tag
+	// names them all — checked, and then the cached body looked up,
+	// before any pane merge runs.
+	ticket := srv.bodies.ticket()
 	info, err := srv.stream.ViewStatus(name)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if notModified(w, r, viewETag(info.Version, info.Watermark)) {
+	etag := viewETag(info, info.Version, info.Watermark)
+	if notModified(w, r, etag) {
+		return
+	}
+	resource := viewResource(name)
+	if body, ok := srv.bodies.get(resource, etag, bodyKey{}); ok {
+		writeBody(w, etag, body)
 		return
 	}
 	res, err := srv.stream.View(name)
@@ -125,12 +138,22 @@ func (srv *server) handleViewResult(w http.ResponseWriter, r *http.Request, name
 	}
 	// Tag with the version the result actually carries: a seal may have
 	// landed between the info read and the evaluation.
-	w.Header().Set("ETag", viewETag(res.Version, res.WindowEnd))
-	writeJSON(w, res)
+	etag = viewETag(info, res.Version, res.WindowEnd)
+	body, ok := encodeJSON(res)
+	if ok {
+		srv.bodies.put(resource, etag, bodyKey{}, body, ticket)
+	}
+	writeBody(w, etag, body)
 }
 
 // viewETag is a view result's entity tag: its fold/evict version and the
-// watermark it has absorbed.
-func viewETag(version, watermark uint64) string {
-	return `"cv` + strconv.FormatUint(version, 10) + "-" + strconv.FormatUint(watermark, 10) + `"`
+// watermark it has absorbed, then the registration watermark and a hash
+// of the definition. Version and watermark restart with every
+// registration, so without the last two a view dropped and registered
+// again under the same name could repeat a tag for a different body.
+func viewETag(info memagg.ViewInfo, version, watermark uint64) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s\x00%d\x00%d\x00%t", info.Query, info.PaneRows, info.Panes, info.Sliding)
+	return `"cv` + strconv.FormatUint(version, 10) + "-" + strconv.FormatUint(watermark, 10) +
+		"-" + strconv.FormatUint(info.StartWatermark, 10) + "-" + strconv.FormatUint(h.Sum64(), 16) + `"`
 }

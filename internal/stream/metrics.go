@@ -26,8 +26,9 @@ type metrics struct {
 	snapshots *obs.Counter // snapshots taken
 	lastMerge *obs.Gauge   // duration of the most recent merge cycle (ns)
 
-	appendLat *obs.Histogram // Append call latency
-	mergeLat  *obs.Histogram // merge cycle duration
+	appendLat  *obs.Histogram // Append call latency
+	mergeLat   *obs.Histogram // merge cycle duration
+	publishLat *obs.Histogram // how long publish holds viewMu per seal
 
 	// Query-path instruments: the per-view result cache's outcome counters
 	// and the three phases a snapshot query decomposes into — fold (sealed
@@ -92,6 +93,8 @@ func newMetrics(s *Stream) *metrics {
 			"Append call latency (copy, hand-off, and any backpressure wait)."),
 		mergeLat: reg.NewHistogram("memagg_stream_merge_seconds",
 			"Merge cycle duration (delta flatten, scatter, partition folds)."),
+		publishLat: reg.NewHistogram("memagg_stream_publish_seconds",
+			"Time a seal's publication holds the view lock (WAL append, view install, continuous-view folds and inline settles); other seals and view registration wait behind it."),
 		qcacheHits: reg.NewCounter("memagg_stream_query_cache_hits_total",
 			"Snapshot queries answered from a view's result cache."),
 		qcacheMisses: reg.NewCounter("memagg_stream_query_cache_misses_total",

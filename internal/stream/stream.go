@@ -491,6 +491,7 @@ func (s *Stream) install(nv *view) {
 // the time a snapshot can observe the rows, the log already carries them.
 func (s *Stream) publish(d *delta) (spareKeys, spareVals []uint64) {
 	s.viewMu.Lock()
+	held := obs.Start()
 	v := s.view.Load()
 	endWM := v.watermark + d.rows
 	spareKeys, spareVals = s.logSeal(d, endWM)
@@ -504,6 +505,7 @@ func (s *Stream) publish(d *delta) (spareKeys, spareVals []uint64) {
 	if s.views.Active() {
 		s.foldViews(v.watermark, endWM, d)
 	}
+	held.Tick(s.m.publishLat)
 	s.viewMu.Unlock()
 	select {
 	case s.wake <- struct{}{}:

@@ -136,3 +136,11 @@ go test -race -run 'TestParseQuery|TestQueryCheck' -count=1 -v ./internal/agg
 go test -race -run 'TestDefsQueryIDGolden' -count=1 -v ./internal/cview
 go test -race -run 'TestStreamSnapshotBadQuantile' -count=1 -v .
 go test -race -run 'TestQueryNodeRouterParity/^(quantile_nan|quantile_above_1|quantile_negative|q7_empty)$' -count=1 -v ./cmd/aggserve
+
+# Encoded-body cache (DESIGN.md §1.2i): cached and freshly encoded
+# /v1/query and view-result bodies are byte-identical to json.Encoder
+# output on a node and through the 3-node router, for every query kind,
+# stay within the -query-cache bound and never outlive their entity tag;
+# a view dropped and registered again under its name never repeats a tag.
+# Pinned by name so a rename can't silently drop them.
+go test -race -run 'TestQueryBodyCache|TestViewETagReregister' -count=1 -v ./cmd/aggserve
